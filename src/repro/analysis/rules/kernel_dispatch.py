@@ -1,8 +1,8 @@
 """Rule ``kernel-dispatch``: hot paths reach kernels only through dispatch.
 
 Contract (from the PR-10 kernel subsystem in ``repro.kernels``): the
-implementation tiers — ``repro.kernels.numpy_impl``, ``repro.kernels.c_impl``,
-``repro.kernels.numba_impl`` — are interchangeable backends behind one
+implementation tiers — ``repro.kernels.numpy_impl`` and
+``repro.kernels.c_impl`` — are interchangeable backends behind one
 dispatcher.  The dispatcher owns tier probing, availability caching, the
 ``REPRO_KERNEL``/``SimContext.kernel`` override order and the guarantee that
 a missing compiler degrades to the numpy reference instead of raising.  A
@@ -25,7 +25,7 @@ from typing import List, Sequence, Set
 from repro.analysis.core import Finding, Rule, SourceFile
 
 #: implementation modules private to the dispatcher
-IMPL_MODULES: Set[str] = {"numpy_impl", "c_impl", "numba_impl"}
+IMPL_MODULES: Set[str] = {"numpy_impl", "c_impl"}
 
 _PACKAGE = "repro.kernels"
 

@@ -274,8 +274,8 @@ class HardwareNoiseConfig:
         ``G * (1 + eps)`` and clipped at zero — shared by the per-tile
         :meth:`repro.circuits.reram.ReRAMCrossbar.program` path and the
         packed per-slice tensors of :class:`repro.engine.packed.PackedMatmul`
-        so both backends model the same physics (the draws themselves differ
-        because the tensor shapes do; see the engine docs).
+        so a single crossbar and a packed layer model the same physics (the
+        draws themselves differ because the tensor shapes do).
         """
         return _conductance_variation(
             self.sample, self.reram_conductance_sigma, conductances

@@ -29,7 +29,7 @@ matrix; the batched path runs one matmul per crossbar.
 :class:`TimeDomainChainSpec` factors the chain's scalar parameters (full
 scale charge, capacitor sizing, phase-II current, LSB) out of the per-tile
 objects: within one layer every tile's chain shares them, so the packed
-execution backend (:class:`repro.engine.packed.PackedMatmul`) can run the
+execution engine (:class:`repro.engine.packed.PackedMatmul`) can run the
 whole elementwise phase-I/II read-out as one vectorized pass over every
 tile, slice and output position at once via :meth:`TimeDomainChainSpec.read_out`.
 """
@@ -59,7 +59,7 @@ class TimeDomainChainSpec:
     capacitor sized for it, the phase-II constant current and the output
     LSB.  They depend only on the cell physics, the converter resolution and
     the (full) tile height, so within one mapped layer every tile's chain
-    shares the same spec.  That is what lets the packed execution backend
+    shares the same spec.  That is what lets the packed execution engine
     apply the whole elementwise chain — offset subtraction, clip, phase-I
     integration, phase-II threshold crossing, LSB rescale — in one
     vectorized :meth:`read_out` pass over a stacked charge tensor covering
@@ -145,7 +145,7 @@ class TimeDomainChainSpec:
         allocation regardless of how many tiles the stack covers); the
         inputs are left untouched unless ``out`` aliases ``charges`` —
         pass ``out=charges`` to run the whole chain fully in place with
-        zero allocations, which is how the packed backend's chunked
+        zero allocations, which is how the packed engine's chunked
         read-out keeps its working set bounded by one chunk.
 
         The arithmetic itself lives behind :mod:`repro.kernels.dispatch`
@@ -198,7 +198,7 @@ class TimeDomainDotProduct:
 
         # The scalar chain parameters (full-scale charge, capacitor sizing,
         # phase-II current, LSB) live in the shared spec so the packed
-        # backend prices exactly the same chain.
+        # engine prices exactly the same chain.
         self.spec = TimeDomainChainSpec(
             cell=crossbar.cell,
             dtc=self.dtc,

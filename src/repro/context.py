@@ -107,7 +107,7 @@ class ArchSpec:
         """Rows a (possibly partial) tile actually occupies.
 
         The single sizing rule for partial row tiles, shared by every
-        crossbar construction site so the engine backends cannot diverge.
+        crossbar construction site.
         """
         return min(int(rows_needed), self.rows)
 
@@ -143,7 +143,7 @@ class ArchSpec:
 
         ``rows`` overrides (and is capped at) the architecture's tile
         height — partial row tiles are sized at the rows they actually
-        occupy, which is the one sizing rule both engine backends share.
+        occupy (:meth:`tile_height`).
         """
         from repro.circuits.reram import ReRAMCrossbar
 
@@ -154,21 +154,13 @@ class ArchSpec:
 #: Names accepted by :meth:`SimContext.accelerator_spec` / the CLI.
 ACCELERATOR_STYLES = ("timely", "prime", "isaac")
 
-#: Functional-engine execution backends: ``"packed"`` runs each layer as
-#: per-slice contiguous tensors with one batched matmul per row-tile slice
-#: and a fully vectorized time-domain chain (the fast default);
-#: ``"tiled"`` is the legacy per-crossbar-object loop kept as the
-#: correctness reference.
-ENGINE_BACKENDS = ("packed", "tiled")
-
-#: Compute dtypes of the packed execution backend: ``"float64"`` (default,
+#: Compute dtypes of the packed execution engine: ``"float64"`` (default,
 #: bit-identical to the historical behaviour) or ``"float32"`` — half the
 #: conductance-tensor memory and single-precision BLAS on the hot matmul +
 #: read-out chain, at a documented looser accuracy bar (<= 1e-4 relative
 #: against the float64 path on the analog chains; ideal-mode integer
 #: matmuls that would lose exactness in float32 fall back to float64 per
-#: layer, so requesting float32 never breaks exact read-out).  The tiled
-#: backend is the correctness reference and always computes in float64.
+#: layer, so requesting float32 never breaks exact read-out).
 COMPUTE_DTYPES = ("float64", "float32")
 
 
@@ -195,10 +187,7 @@ class SimContext:
     chains of the functional engine (``None`` = ideal hardware); ``seed``
     drives every deterministic draw (weight initialisation, input
     generation), so two contexts with equal fields reproduce each other
-    exactly; ``backend`` selects the functional-engine execution backend
-    (see :data:`ENGINE_BACKENDS` — noiseless, both produce the same numbers
-    to float tolerance, the packed one just gets there much faster);
-    ``compute_dtype`` selects the packed backend's arithmetic precision
+    exactly; ``compute_dtype`` selects the packed engine's arithmetic precision
     (see :data:`COMPUTE_DTYPES` — ``"float32"`` halves conductance memory
     and roughly doubles matmul throughput at a ≤1e-4 relative-accuracy
     bar, while ``"float64"``, the default, stays bit-identical to the
@@ -218,7 +207,6 @@ class SimContext:
     accelerator: str = "timely"
     noise: Optional["HardwareNoiseConfig"] = None
     seed: int = 0
-    backend: str = ENGINE_BACKENDS[0]
     compute_dtype: str = COMPUTE_DTYPES[0]
     chunk_bytes: Optional[int] = None
     #: hard-fault model (stuck cells / drift / read-out saturation, see
@@ -227,21 +215,13 @@ class SimContext:
     #: are applied at wiring time, so programmed states stay fault-free.
     faults: Optional["FaultModel"] = None
     #: hot-loop implementation tier serving the read-out chain and im2col
-    #: (see :mod:`repro.kernels.dispatch`): ``"auto"`` (first available of
-    #: compiled C → numba → numpy, overridable via ``REPRO_KERNEL``) or an
-    #: explicit tier name.  Performance metadata, not simulation semantics:
+    #: (see :mod:`repro.kernels.dispatch`): ``"auto"`` (compiled C when it
+    #: builds, else numpy; overridable via ``REPRO_KERNEL``) or an explicit
+    #: tier name.  Performance metadata, not simulation semantics:
     #: float64 results are bit-identical across tiers, so the tier is
     #: excluded from equality/hashing and from every content key — cached
     #: programmed states and sweep trial keys are tier-independent.
     kernel: str = field(default="auto", compare=False)
-    #: worker threads of the packed backend's chunked read-out walk.  With
-    #: ``chunk_bytes`` set and ``threads > 1``, independent charge chunks
-    #: run concurrently on a bounded thread pool (the matmul and the
-    #: compiled read-out kernel both release the GIL).  The chunk split
-    #: depends only on ``chunk_bytes`` and each chunk writes a disjoint
-    #: output slice, so results are byte-identical at any worker count —
-    #: like ``kernel``, pure performance metadata, excluded from keys.
-    threads: int = field(default=1, compare=False)
 
     # A SimContext is a bag of plain dataclasses (ArchSpec, the stateless
     # HardwareNoiseConfig) and scalars, so it pickles cleanly across the
@@ -252,11 +232,6 @@ class SimContext:
             raise ValueError(
                 f"unknown accelerator {self.accelerator!r}; "
                 f"choose from: {', '.join(ACCELERATOR_STYLES)}"
-            )
-        if self.backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {self.backend!r}; "
-                f"choose from: {', '.join(ENGINE_BACKENDS)}"
             )
         if self.compute_dtype not in COMPUTE_DTYPES:
             raise ValueError(
@@ -274,12 +249,10 @@ class SimContext:
                 f"unknown kernel tier {self.kernel!r}; "
                 f"choose from: {', '.join(KERNEL_CHOICES)}"
             )
-        if self.threads < 1:
-            raise ValueError("threads must be a positive worker count")
 
     @property
     def np_compute_dtype(self) -> np.dtype:
-        """The numpy dtype the packed backend computes in."""
+        """The numpy dtype the packed engine computes in."""
         return np.dtype(self.compute_dtype)
 
     # -- derived objects -------------------------------------------------------

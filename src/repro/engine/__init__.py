@@ -9,9 +9,8 @@ pipeline and the ``run`` subcommand of ``python -m repro.sim`` for the CLI.
 
 * :mod:`repro.engine.params` — deterministic weight/bias generation,
 * :mod:`repro.engine.reference` — the exact float forward pass,
-* :mod:`repro.engine.tiles` — legacy per-tile programming and read-out,
 * :mod:`repro.engine.packed` — packed per-slice vectorized execution
-  (the default backend; one batched matmul per layer slice),
+  (one batched matmul per layer slice),
 * :mod:`repro.engine.state` — the programmed-chip artifact
   (:class:`ProgrammedState`): save/load/mmap, content keys and the
   LRU + on-disk :class:`ProgrammedStateCache`,
@@ -19,9 +18,7 @@ pipeline and the ``run`` subcommand of ``python -m repro.sim`` for the CLI.
   into a one-time :func:`program` phase and cheap
   :meth:`NetworkExecutor.from_state` wiring.
 
-All of it is driven by one :class:`repro.context.SimContext`; the
-``backend`` field (or the executor's ``backend`` argument) selects between
-the packed and tiled execution paths.
+All of it is driven by one :class:`repro.context.SimContext`.
 """
 
 from repro.engine.errors import EngineError
@@ -48,7 +45,6 @@ from repro.engine.state import (
     ProgrammedStateCache,
     state_key,
 )
-from repro.engine.tiles import TiledMatmul
 
 __all__ = [
     "EngineError",
@@ -71,5 +67,4 @@ __all__ = [
     "reference_forward_batch",
     "validate_sequential",
     "validate_supported",
-    "TiledMatmul",
 ]

@@ -8,8 +8,8 @@ counts them, and pushes real activations through the
 :mod:`repro.circuits.timing` time-domain chains:
 
 1. per-layer weight programming — symmetric ``weight_bits`` quantisation,
-   offset encoding and the bit-cell slice split (packed per-slice tensors
-   by default, legacy per-tile crossbar objects with ``backend="tiled"``),
+   offset encoding and the bit-cell slice split into packed per-slice
+   tensors (:mod:`repro.engine.packed`),
 2. im2col slicing of the (unsigned-quantised) input activations,
 3. time-domain dot products batched over input columns *and* over the
    images of a batch, with optional :mod:`repro.circuits.noise` injection,
@@ -46,9 +46,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.context import ENGINE_BACKENDS, SimContext
+from repro.context import SimContext
 from repro.engine.errors import EngineError
-from repro.engine.packed import PackedMatmul, pack_weights
+from repro.engine.packed import MODES, PackedMatmul, pack_weights
 from repro.engine.params import NetworkParams
 from repro.engine.state import LayerState, ProgrammedState
 from repro.engine.reference import (
@@ -59,7 +59,6 @@ from repro.engine.reference import (
     reference_forward_batch,
     validate_supported,
 )
-from repro.engine.tiles import MODES, TiledMatmul
 from repro.kernels.dispatch import im2col_pack
 from repro.nn.layers import Conv2D, FullyConnected
 from repro.nn.network import NETWORK_INPUT, LayerInstance, Network
@@ -133,7 +132,6 @@ class ExecutionResult:
 
     model: str
     mode: str
-    backend: str
     output: np.ndarray
     reference: Optional[np.ndarray] = None
     traces: List[LayerTrace] = field(default_factory=list)
@@ -163,14 +161,13 @@ def program_layer(
     params: NetworkParams,
     arch,
     mode: str,
-    backend: str,
     compute_dtype: str = "float64",
 ) -> LayerState:
     """Program one conv/FC layer: the expensive, noise-free phase.
 
-    Quantises the layer's weights per output channel, lays them out as the
-    backend's im2col matmul matrices and — for the packed backend — runs the
-    offset-encode/bit-slice packing of :func:`repro.engine.packed.pack_weights`.
+    Quantises the layer's weights per output channel, lays them out as
+    im2col matmul matrices and runs the offset-encode/bit-slice packing of
+    :func:`repro.engine.packed.pack_weights`.
     The result is a plain-array :class:`~repro.engine.state.LayerState` that
     saves, memory-maps and ships across processes; wiring it back into an
     executable layer (:class:`_MappedComputeLayer`) is cheap.
@@ -200,7 +197,8 @@ def program_layer(
 
     # all groups stacked on one leading axis: (groups, rows, group_cols)
     q = np.stack(matrices).astype(np.int64, copy=False)
-    state = LayerState(
+    encoded, conductances = pack_weights(q, arch, mode, compute_dtype)
+    return LayerState(
         name=inst.name,
         index=inst.index,
         kind=kind,
@@ -211,14 +209,9 @@ def program_layer(
         stride=stride,
         pad=pad,
         kernel=kernel,
+        encoded=encoded,
+        conductances=conductances,
     )
-    if backend == "packed":
-        state.encoded, state.conductances = pack_weights(q, arch, mode, compute_dtype)
-    else:
-        # the legacy tiled backend re-programs its per-crossbar objects from
-        # the quantised weights on wiring (deterministic, so bit-identical)
-        state.q = q
-    return state
 
 
 def program(
@@ -226,12 +219,11 @@ def program(
     ctx: Optional[SimContext] = None,
     mode: str = "analog",
     params: Optional[NetworkParams] = None,
-    backend: Optional[str] = None,
 ) -> ProgrammedState:
     """Program a network's weights onto crossbars: the one-time phase.
 
-    Quantises, lays out and (for the packed backend) bit-slices every
-    conv/FC layer into a :class:`~repro.engine.state.ProgrammedState` —
+    Quantises, lays out and bit-slices every conv/FC layer into a
+    :class:`~repro.engine.state.ProgrammedState` —
     the artifact the paper's economics revolve around: built once, then
     executed many times via :meth:`NetworkExecutor.from_state`, saved to
     disk, or shared across processes.  The state is noise-free (base
@@ -241,21 +233,15 @@ def program(
     if mode not in MODES:
         raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
     ctx = ctx or SimContext()
-    backend = backend if backend is not None else ctx.backend
-    if backend not in ENGINE_BACKENDS:
-        raise EngineError(
-            f"unknown engine backend {backend!r}; choose from: {ENGINE_BACKENDS}"
-        )
     validate_supported(network)
     params = params or NetworkParams(network, ctx.seed)
     layers = [
-        program_layer(inst, params, ctx.arch, mode, backend, ctx.compute_dtype)
+        program_layer(inst, params, ctx.arch, mode, ctx.compute_dtype)
         for inst in network.compute_instances
     ]
     return ProgrammedState(
         model=network.name,
         mode=mode,
-        backend=backend,
         seed=ctx.seed,
         arch=ctx.arch,
         layers=layers,
@@ -268,21 +254,18 @@ def _check_state(
     network: Network,
     ctx: SimContext,
     mode: str,
-    backend: str,
 ) -> None:
     """Reject a programmed state that does not match the execution request.
 
     A mismatched state would silently execute the wrong chip: different
     weights (model/seed), different conductance grid (arch), or tensors
-    laid out for the other backend.  Each is a hard error.
+    packed for the other mode or precision.  Each is a hard error.
     """
     mismatches = []
     if state.model != network.name:
         mismatches.append(f"model {state.model!r} != {network.name!r}")
     if state.mode != mode:
         mismatches.append(f"mode {state.mode!r} != {mode!r}")
-    if state.backend != backend:
-        mismatches.append(f"backend {state.backend!r} != {backend!r}")
     if state.seed != ctx.seed:
         mismatches.append(f"seed {state.seed} != {ctx.seed}")
     if state.compute_dtype != ctx.compute_dtype:
@@ -308,11 +291,9 @@ def _layer_crossbars(state: LayerState, arch) -> int:
 
     Lets a streaming executor report tile counts without wiring any layer
     (reading a memory-mapped payload's ``.shape`` touches no data pages).
-    Matches both backends' own counting: ``groups x row_tiles x col_tiles``.
+    Matches :attr:`PackedMatmul.crossbars`: ``groups x row_tiles x col_tiles``.
     """
-    payload = state.encoded
-    if payload is None:
-        payload = state.conductances[0] if state.conductances else state.q
+    payload = state.encoded if state.encoded is not None else state.conductances[0]
     n_groups, rows_needed, group_cols = payload.shape
     row_tiles = math.ceil(rows_needed / arch.rows)
     col_tiles = math.ceil(group_cols / arch.weights_per_col_tile)
@@ -322,14 +303,7 @@ def _layer_crossbars(state: LayerState, arch) -> int:
 class _MappedComputeLayer:
     """One conv/FC layer wired for execution from its programmed state."""
 
-    def __init__(
-        self,
-        state: LayerState,
-        ctx: SimContext,
-        mode: str,
-        backend: str,
-    ):
-        self.backend = backend
+    def __init__(self, state: LayerState, ctx: SimContext, mode: str):
         self.name = state.name
         self.kind = state.kind
         self.w_scales = state.w_scales  # (out_channels,)
@@ -337,67 +311,32 @@ class _MappedComputeLayer:
         self.stride = state.stride
         self.pad = state.pad
         self.kernel = state.kernel
-        self.n_groups = state.n_groups
         self.out_channels = state.out_channels
         #: hot-loop tier request for the im2col gather (performance
         #: metadata off the context; never part of the layer state)
         self._kernel_tier = ctx.kernel
         # noise scopes derive from the layer index, so noisy draws are
         # independent of how many executors were constructed before this one
-        if backend == "packed":
-            self._packed = PackedMatmul.from_packed(
-                state.encoded, state.conductances, ctx, mode, salt=state.index
-            )
-            self._groups: List[TiledMatmul] = []
-        else:
-            self._packed = None
-            self._groups = [
-                TiledMatmul(state.q[g], ctx, mode, salt=(state.index, g))
-                for g in range(state.n_groups)
-            ]
+        self._packed = PackedMatmul.from_packed(
+            state.encoded, state.conductances, ctx, mode, salt=state.index
+        )
 
     @property
     def crossbars(self) -> int:
-        if self._packed is not None:
-            return self._packed.crossbars
-        return sum(group.crossbars for group in self._groups)
+        return self._packed.crossbars
 
     @property
     def fault_report(self):
-        """Merged :class:`repro.faults.FaultReport` of this layer (or ``None``)."""
-        if self._packed is not None:
-            return self._packed.fault_report
-        reports = [g.fault_report for g in self._groups if g.fault_report is not None]
-        if not reports:
-            return None
-        from repro.faults import FaultReport
-
-        merged = FaultReport()
-        for report in reports:
-            merged.merge(report)
-        return merged
+        """The :class:`repro.faults.FaultReport` of this layer (or ``None``)."""
+        return self._packed.fault_report
 
     @property
     def programmed_bytes(self) -> int:
-        if self._packed is not None:
-            return self._packed.programmed_bytes
-        return sum(group.programmed_bytes for group in self._groups)
+        return self._packed.packed_bytes
 
     def _matmul(self, codes: np.ndarray) -> np.ndarray:
-        """Dispatch ``(positions, total_rows)`` codes to the backend."""
-        if self._packed is not None:
-            # codes were produced by quantize_unsigned_batch: already in range
-            return self._packed.matmul(codes, validate=False)
-        if self.n_groups == 1:
-            return self._groups[0].matmul(codes)
-        group_rows = codes.shape[1] // self.n_groups
-        return np.concatenate(
-            [
-                self._groups[g].matmul(codes[:, g * group_rows : (g + 1) * group_rows])
-                for g in range(self.n_groups)
-            ],
-            axis=1,
-        )
+        # codes were produced by quantize_unsigned_batch: already in range
+        return self._packed.matmul(codes, validate=False)
 
     def forward(self, acts: np.ndarray, input_bits: int) -> np.ndarray:
         """Quantise a batch, run it through the tiles, dequantise the result.
@@ -457,9 +396,6 @@ class NetworkExecutor:
     params:
         Optional pre-built parameters; defaults to
         ``NetworkParams(network, ctx.seed)``.
-    backend:
-        ``"packed"`` (vectorized per-slice tensors) or ``"tiled"`` (legacy
-        per-crossbar objects); defaults to the context's ``backend`` field.
     state:
         Optional pre-programmed :class:`~repro.engine.state.ProgrammedState`
         (e.g. from a :class:`~repro.engine.state.ProgrammedStateCache`); the
@@ -488,7 +424,6 @@ class NetworkExecutor:
         ctx: Optional[SimContext] = None,
         mode: str = "analog",
         params: Optional[NetworkParams] = None,
-        backend: Optional[str] = None,
         state: Optional[ProgrammedState] = None,
         stream: bool = False,
     ):
@@ -497,21 +432,13 @@ class NetworkExecutor:
         self.network = network
         self.ctx = ctx or SimContext()
         self.mode = mode
-        self.backend = backend if backend is not None else self.ctx.backend
-        if self.backend not in ENGINE_BACKENDS:
-            raise EngineError(
-                f"unknown engine backend {self.backend!r}; "
-                f"choose from: {ENGINE_BACKENDS}"
-            )
         validate_supported(network)
         self.params = params or NetworkParams(network, self.ctx.seed)
         self.mapping = self.ctx.map_network(network)
         if state is None:
-            state = program(
-                network, self.ctx, mode, params=self.params, backend=self.backend
-            )
+            state = program(network, self.ctx, mode, params=self.params)
         else:
-            _check_state(state, network, self.ctx, mode, self.backend)
+            _check_state(state, network, self.ctx, mode)
         self.state = state
         self.stream = stream
         #: layer name -> position in ``state.layers`` (compute layers only)
@@ -521,8 +448,7 @@ class NetworkExecutor:
         self._compute: Dict[str, _MappedComputeLayer] = {}
         if not stream:
             self._compute = {
-                ls.name: _MappedComputeLayer(ls, self.ctx, mode, self.backend)
-                for ls in state.layers
+                ls.name: _MappedComputeLayer(ls, self.ctx, mode) for ls in state.layers
             }
 
     def _wire_layer(self, name: str) -> _MappedComputeLayer:
@@ -530,7 +456,7 @@ class NetworkExecutor:
         if not self.stream:
             return self._compute[name]
         streamed = self.state.stream_layer(self._positions[name])
-        return _MappedComputeLayer(streamed, self.ctx, self.mode, self.backend)
+        return _MappedComputeLayer(streamed, self.ctx, self.mode)
 
     @classmethod
     def from_state(
@@ -547,8 +473,8 @@ class NetworkExecutor:
         ``ctx`` defaults to a noise-free context matching the state (pass
         one with a noise model to apply per-trial programming variation on
         top of the stored base conductances — the Monte-Carlo path).  The
-        context's architecture, seed, backend and compute dtype must match
-        the state's.  ``stream=True`` wires nothing up front and executes
+        context's architecture, seed and compute dtype must match the
+        state's.  ``stream=True`` wires nothing up front and executes
         layer-by-layer against the state's backing files (see the
         constructor's ``stream`` parameter).
         """
@@ -558,20 +484,9 @@ class NetworkExecutor:
             network = build_model(state.model)
         if ctx is None:
             ctx = SimContext(
-                arch=state.arch,
-                seed=state.seed,
-                backend=state.backend,
-                compute_dtype=state.compute_dtype,
+                arch=state.arch, seed=state.seed, compute_dtype=state.compute_dtype
             )
-        return cls(
-            network,
-            ctx,
-            state.mode,
-            params=params,
-            backend=state.backend,
-            state=state,
-            stream=stream,
-        )
+        return cls(network, ctx, state.mode, params=params, state=state, stream=stream)
 
     @property
     def crossbars(self) -> int:
@@ -586,8 +501,8 @@ class NetworkExecutor:
     def programmed_bytes(self) -> int:
         """Resident bytes of the programmed weight state across all layers.
 
-        Packed: the per-slice conductance tensors; tiled: the integer levels
-        plus conductances of every physical crossbar.  The bench adds this to
+        The per-slice conductance tensors (or, in ideal mode, the encoded
+        level matrices).  The bench adds this to
         the traced forward-pass peak for its memory figure.  A streaming
         executor wires nothing up front, so this reports the backing
         state's payload bytes (for a memory-mapped state those live on
@@ -728,7 +643,6 @@ class NetworkExecutor:
         return ExecutionResult(
             model=self.network.name,
             mode=self.mode,
-            backend=self.backend,
             output=output[0] if single else output,
             reference=reference,
             traces=traces,
@@ -744,8 +658,7 @@ def run_network(
     ctx: Optional[SimContext] = None,
     x: Optional[np.ndarray] = None,
     mode: str = "analog",
-    backend: Optional[str] = None,
     validate: bool = True,
 ) -> ExecutionResult:
     """One-shot convenience wrapper around :class:`NetworkExecutor`."""
-    return NetworkExecutor(network, ctx, mode, backend=backend).run(x, validate=validate)
+    return NetworkExecutor(network, ctx, mode).run(x, validate=validate)

@@ -1,12 +1,11 @@
 """Packed vectorized tile execution: one matmul per layer-slice.
 
-:class:`PackedMatmul` is the performance backend behind
-:class:`repro.engine.executor.NetworkExecutor` (``backend="packed"``, the
-default).  It computes exactly what :class:`repro.engine.tiles.TiledMatmul`
-computes — the integer matmul of input codes against offset-encoded,
-bit-sliced weights, read out through the two-phase time-domain chains — but
-stores and executes the layer as a whole instead of as a grid of crossbar
-objects:
+:class:`PackedMatmul` is the execution engine behind
+:class:`repro.engine.executor.NetworkExecutor`.  It computes what a grid of
+physical crossbars computes — the integer matmul of input codes against
+offset-encoded, bit-sliced weights, read out through the two-phase
+time-domain chains of :mod:`repro.circuits.timing` — but stores and
+executes the layer as a whole instead of as a grid of crossbar objects:
 
 * the weights of **all tiles of all groups** are packed into one contiguous
   conductance tensor per bit-cell slice, shaped ``(groups, rows_needed,
@@ -27,24 +26,20 @@ objects:
   position and output column at once.  The sub-ranging MSB/LSB pair of
   Section IV-C is simply the 2-slice case of this recombination.
 
-Noiseless, the packed path matches the tiled path to float tolerance (both
-recover the exact integer matmul through the same chain algebra).  With
-noise enabled the two backends sample the *same* error models but draw in
-different shapes/orders — the tiled path draws per 256x256 crossbar and per
-tile read-out, the packed path draws once per slice tensor and once per
-layer of delays — so results are statistically equivalent but not
-bit-identical across backends.  Within one backend, runs are exactly
-reproducible from the noise seed: every draw comes from a
+Noiseless, the packed path matches a per-crossbar reference built from
+:class:`repro.circuits.reram.ReRAMCrossbar` and
+:class:`repro.circuits.timing.TimeDomainDotProduct` to float tolerance
+(both recover the exact integer matmul through the same chain algebra; the
+test suite keeps that reference as its oracle).  With noise enabled, runs
+are exactly reproducible from the noise seed: every draw comes from a
 :class:`repro.circuits.noise.NoiseStream` derived from ``(seed, layer
-salt)``, so results are independent of how many other executors were
-constructed first.
+salt)``, once per slice tensor and once per layer of delays, so results are
+independent of how many other executors were constructed first.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -52,8 +47,11 @@ import numpy as np
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import ArchSpec, SimContext
 from repro.engine.errors import EngineError
-from repro.engine.tiles import MODES
 from repro.kernels.dispatch import readout_fused
+
+#: engine read-out modes: ``"analog"`` runs the two-phase time-domain
+#: chains, ``"ideal"`` reads the same programmed weights exactly
+MODES = ("analog", "ideal")
 
 #: float64 integer matmuls are exact below this product-sum magnitude
 _EXACT_FLOAT_BOUND = float(2 ** 53)
@@ -305,11 +303,10 @@ class PackedMatmul:
         ]
         #: chain scalars shared by every tile of the layer (full tile height)
         self.spec = TimeDomainChainSpec.from_context(ctx)
-        #: hot-loop tier request and chunk-walk worker count — performance
-        #: metadata off the context (compare=False there, absent from every
-        #: content key); results do not depend on either
+        #: hot-loop tier request — performance metadata off the context
+        #: (compare=False there, absent from every content key); results
+        #: do not depend on it
         self._kernel: Optional[str] = ctx.kernel
-        self._threads = int(ctx.threads)
         #: noise scopes derived from (seed, salt) — construction-order free
         salt_parts = salt if isinstance(salt, tuple) else (salt,)
         program_noise = None
@@ -386,21 +383,15 @@ class PackedMatmul:
             return self._encoded.nbytes
         return sum(g.nbytes for g in self._conductances)
 
-    @property
-    def programmed_bytes(self) -> int:
-        """Backend-uniform alias of :attr:`packed_bytes` (cf. ``TiledMatmul``)."""
-        return self.packed_bytes
-
     def matmul(self, codes: np.ndarray, validate: bool = True) -> np.ndarray:
         """Push input codes through the packed slices and recombine.
 
         ``codes`` is a ``(positions, n_groups * rows_needed)`` matrix of
-        unsigned input codes — identical to the
-        :meth:`~repro.engine.tiles.TiledMatmul.matmul` contract, with the
-        groups' code blocks concatenated along the row axis (the natural
-        im2col channel-major layout).  Returns the signed dot products as
-        ``(positions, out_cols)``.  ``validate=False`` skips the input range
-        scan for callers that already quantised the codes themselves.
+        unsigned input codes, the groups' code blocks concatenated along
+        the row axis (the natural im2col channel-major layout).  Returns
+        the signed dot products as ``(positions, out_cols)``.
+        ``validate=False`` skips the input range scan for callers that
+        already quantised the codes themselves.
         """
         codes = np.asarray(codes, dtype=np.int64)
         expected_rows = self.n_groups * self.rows_needed
@@ -459,34 +450,21 @@ class PackedMatmul:
         )
         return max(1, min(positions, budget // max(1, per_position)))
 
-    def _chunk_buffers(self, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One reusable (charges, delay_sums) buffer pair for the chunk walk."""
-        dtype = self.compute_dtype
-        charges = np.empty(
-            (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
-            dtype=dtype,
-        )
-        delay_sums = np.empty((self.row_tiles, 1, self.n_groups, chunk, 1), dtype=dtype)
-        return charges, delay_sums
-
     def _run_chunk(
         self,
         delays: np.ndarray,
         out: np.ndarray,
         p0: int,
         n: int,
-        buffers: Tuple[np.ndarray, np.ndarray],
+        charges: np.ndarray,
+        delay_sums: np.ndarray,
     ) -> None:
         """Charge, read out and recombine positions ``[p0, p0 + n)``.
 
-        Fills the chunk's slice of ``out`` and touches nothing else, so
-        chunks are independent: the serial walk and the thread pool call
-        this identically (on identically-shaped buffers — the chunk split
-        never depends on the worker count), which is what makes threaded
-        results byte-identical to serial ones.
+        ``charges``/``delay_sums`` are the walk's reusable chunk buffers;
+        the chunk's slice of ``out`` is the only output written.
         """
         spec = self.spec
-        charges, delay_sums = buffers
         block = charges[:, :, :, :n]
         sums = delay_sums[:, :, :, :n]
         for rt, (r0, height) in enumerate(self._row_spans):
@@ -511,21 +489,6 @@ class PackedMatmul:
             kernel=self._kernel,
         )
 
-    def _run_chunk_pooled(
-        self,
-        delays: np.ndarray,
-        out: np.ndarray,
-        p0: int,
-        n: int,
-        buffer_pool: "queue.Queue[Tuple[np.ndarray, np.ndarray]]",
-    ) -> None:
-        """Thread-pool task: borrow a buffer pair, run one chunk, return it."""
-        buffers = buffer_pool.get()
-        try:
-            self._run_chunk(delays, out, p0, n, buffers)
-        finally:
-            buffer_pool.put(buffers)
-
     def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:
         """Time-domain estimate of the grouped integer products.
 
@@ -545,14 +508,6 @@ class PackedMatmul:
         the entire im2col output.  The full delay tensor (and any DTC
         jitter draw on it) is computed *before* the chunk walk, so noisy
         results are independent of the chunking.
-
-        With ``ctx.threads > 1`` (and more than one chunk) the chunks run
-        concurrently on a bounded :class:`ThreadPoolExecutor` over a pool
-        of per-worker buffer pairs — the BLAS matmul and the compiled
-        read-out kernel both release the GIL, so the walk scales with
-        cores.  The chunk split depends only on ``chunk_bytes`` and every
-        chunk writes a disjoint output slice, so the result is
-        byte-identical at any worker count.
         """
         spec = self.spec
         noise = self._read_noise
@@ -570,23 +525,12 @@ class PackedMatmul:
         # recombination and the offset correction downstream cancel
         # large-magnitude operands (see the ``shifts`` note in ``_wire``)
         out = np.empty((self.n_groups, positions, self.group_cols))
-        spans = [
-            (p0, min(chunk, positions - p0)) for p0 in range(0, positions, chunk)
-        ]
-        workers = min(self._threads, len(spans))
-        if workers > 1:
-            buffer_pool: "queue.Queue[Tuple[np.ndarray, np.ndarray]]" = queue.Queue()
-            for _ in range(workers):
-                buffer_pool.put(self._chunk_buffers(chunk))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(self._run_chunk_pooled, delays, out, p0, n, buffer_pool)
-                    for p0, n in spans
-                ]
-                for future in futures:
-                    future.result()
-        else:
-            buffers = self._chunk_buffers(chunk)
-            for p0, n in spans:
-                self._run_chunk(delays, out, p0, n, buffers)
+        charges = np.empty(
+            (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
+            dtype=dtype,
+        )
+        delay_sums = np.empty((self.row_tiles, 1, self.n_groups, chunk, 1), dtype=dtype)
+        for p0 in range(0, positions, chunk):
+            n = min(chunk, positions - p0)
+            self._run_chunk(delays, out, p0, n, charges, delay_sums)
         return out

@@ -4,9 +4,8 @@ The paper's premise is that in-ReRAM computing amortises a one-time,
 expensive weight-programming phase over many cheap analog inferences.  This
 module gives that phase a product: :class:`ProgrammedState` — the per-layer,
 per-bit-cell-slice conductance tensors plus the quantisation/tiling metadata
-that :class:`repro.engine.packed.PackedMatmul` /
-:class:`repro.engine.tiles.TiledMatmul` otherwise rebuild inside every
-``NetworkExecutor`` construction — so programming runs **once** and its
+that :class:`repro.engine.packed.PackedMatmul` otherwise rebuilds inside
+every ``NetworkExecutor`` construction — so programming runs **once** and its
 result is saved, shared across processes, and re-used by any number of
 executions (:meth:`repro.engine.executor.NetworkExecutor.from_state`).
 
@@ -19,7 +18,7 @@ Three design points:
   time — one snapshot therefore serves every Monte-Carlo trial of a sweep
   while staying bit-for-bit identical to programming from scratch.
 * **Content addressing.**  :func:`state_key` derives a stable key from
-  ``(model, ArchSpec, mode, backend, seed)`` via the same
+  ``(model, ArchSpec, mode, seed, compute dtype)`` via the same
   :func:`repro.circuits.noise.stable_seed` hashing the sweep store uses, so
   equal configurations share one cache entry across processes and machines.
 * **Memory-mappability.**  :meth:`ProgrammedState.save` writes a directory
@@ -42,11 +41,11 @@ import shutil
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.context import ENGINE_BACKENDS, ArchSpec
+from repro.context import ArchSpec
 from repro.engine.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -56,8 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 #: bumped when the on-disk layout changes; loaders reject unknown versions
 #: (2: packed payloads carry a compute dtype — float32 states exist and the
-#: manifest + content key record which precision was programmed)
-STATE_FORMAT = 2
+#: manifest + content key record which precision was programmed;
+#: 3: one execution engine — the manifest drops ``backend`` and the
+#: per-layer ``q`` payload)
+STATE_FORMAT = 3
 
 #: metadata filename inside a saved state directory
 _META_NAME = "meta.json"
@@ -67,7 +68,6 @@ def state_key(
     model: str,
     arch: ArchSpec,
     mode: str,
-    backend: str,
     seed: int,
     compute_dtype: str = "float64",
 ) -> str:
@@ -80,13 +80,12 @@ def state_key(
     every noise scale / trial of a Monte-Carlo sweep shares one entry.
     ``compute_dtype`` **is** part of the key — a float32-programmed payload
     holds different bytes than a float64 one, so the two must never alias
-    in a shared cache.  The kernel tier (``SimContext.kernel``) and the
-    chunk-walk thread count (``SimContext.threads``) are deliberately
-    **not** part of the key either: they select *how* the read-out runs,
-    not *what* it computes — float64 results are bit-identical across
-    tiers and worker counts (the cross-implementation equivalence tests
+    in a shared cache.  The kernel tier (``SimContext.kernel``) is
+    deliberately **not** part of the key either: it selects *how* the
+    read-out runs, not *what* it computes — float64 results are
+    bit-identical across tiers (the cross-implementation equivalence tests
     pin this), so a state programmed under any tier serves every tier.
-    Both fields are ``compare=False`` on the context for the same reason.
+    The field is ``compare=False`` on the context for the same reason.
     """
     from repro.circuits.noise import stable_seed
 
@@ -95,7 +94,6 @@ def state_key(
         STATE_FORMAT,
         model,
         mode,
-        backend,
         seed,
         compute_dtype,
         arch.rows,
@@ -115,11 +113,9 @@ def state_key(
 class LayerState:
     """Programmed artifact of one conv/FC layer.
 
-    Exactly one weight payload is populated, matching ``(backend, mode)``:
-    ``conductances`` (packed analog — the base per-slice tensors, noise-free),
-    ``encoded`` (packed ideal — the offset-encoded float matrix), or ``q``
-    (tiled — the signed quantised weights; the legacy per-crossbar objects
-    re-program deterministically from them on load).  All weight payloads are
+    Exactly one weight payload is populated, matching the mode:
+    ``conductances`` (analog — the base per-slice tensors, noise-free) or
+    ``encoded`` (ideal — the offset-encoded float matrix).  Both are
     ``(groups, rows_needed, group_cols)`` stacks in im2col layout.
     """
 
@@ -135,7 +131,6 @@ class LayerState:
     pad: int = 0
     kernel: int = 0
     # weight payloads (see class docstring)
-    q: Optional[np.ndarray] = None
     encoded: Optional[np.ndarray] = None
     conductances: List[np.ndarray] = field(default_factory=list)
 
@@ -144,15 +139,40 @@ class LayerState:
         total = self.w_scales.nbytes
         if self.bias is not None:
             total += self.bias.nbytes
-        for payload in (self.q, self.encoded):
-            if payload is not None:
-                total += payload.nbytes
+        if self.encoded is not None:
+            total += self.encoded.nbytes
         return total + sum(c.nbytes for c in self.conductances)
+
+
+def _layer_from_entry(
+    entry: Dict[str, Any], path: Path, mmap_mode: Optional[str]
+) -> LayerState:
+    """One manifest ``layers`` entry of the state at ``path`` as a layer."""
+
+    def pull(name: Optional[str]) -> Optional[np.ndarray]:
+        if name is None:
+            return None
+        return np.load(path / name, mmap_mode=mmap_mode)
+
+    return LayerState(
+        name=entry["name"],
+        index=entry["index"],
+        kind=entry["kind"],
+        out_channels=entry["out_channels"],
+        n_groups=entry["n_groups"],
+        w_scales=pull(entry["w_scales"]),
+        bias=pull(entry["bias"]),
+        stride=entry["stride"],
+        pad=entry["pad"],
+        kernel=entry["kernel"],
+        encoded=pull(entry["encoded"]),
+        conductances=[pull(name) for name in entry["conductances"]],
+    )
 
 
 @dataclass
 class ProgrammedState:
-    """The programmed-chip state of one (model, arch, mode, backend, seed).
+    """The programmed-chip state of one (model, arch, mode, seed, dtype).
 
     Produced by :func:`repro.engine.executor.program`; consumed by
     :meth:`repro.engine.executor.NetworkExecutor.from_state`.  Holds only
@@ -163,7 +183,6 @@ class ProgrammedState:
 
     model: str
     mode: str
-    backend: str
     seed: int
     arch: ArchSpec
     layers: List[LayerState]
@@ -178,8 +197,7 @@ class ProgrammedState:
     def key(self) -> str:
         """Content key of this state (see :func:`state_key`)."""
         return state_key(
-            self.model, self.arch, self.mode, self.backend, self.seed,
-            self.compute_dtype,
+            self.model, self.arch, self.mode, self.seed, self.compute_dtype
         )
 
     @property
@@ -236,7 +254,6 @@ class ProgrammedState:
                     "kernel": layer.kernel,
                     "w_scales": dump(f"{prefix}_w_scales", layer.w_scales),
                     "bias": dump(f"{prefix}_bias", layer.bias),
-                    "q": dump(f"{prefix}_q", layer.q),
                     "encoded": dump(f"{prefix}_encoded", layer.encoded),
                     "conductances": [
                         dump(f"{prefix}_cond{s}", c)
@@ -248,7 +265,6 @@ class ProgrammedState:
             "format": STATE_FORMAT,
             "model": self.model,
             "mode": self.mode,
-            "backend": self.backend,
             "seed": self.seed,
             "compute_dtype": self.compute_dtype,
             "key": self.key,
@@ -308,35 +324,13 @@ class ProgrammedState:
                 f"this build reads format {STATE_FORMAT}"
             )
         mmap_mode = "r" if mmap else None
-
-        def pull(name: Optional[str]) -> Optional[np.ndarray]:
-            if name is None:
-                return None
-            return np.load(path / name, mmap_mode=mmap_mode)
-
         try:
             layers = [
-                LayerState(
-                    name=entry["name"],
-                    index=entry["index"],
-                    kind=entry["kind"],
-                    out_channels=entry["out_channels"],
-                    n_groups=entry["n_groups"],
-                    w_scales=pull(entry["w_scales"]),
-                    bias=pull(entry["bias"]),
-                    stride=entry["stride"],
-                    pad=entry["pad"],
-                    kernel=entry["kernel"],
-                    q=pull(entry["q"]),
-                    encoded=pull(entry["encoded"]),
-                    conductances=[pull(name) for name in entry["conductances"]],
-                )
-                for entry in meta["layers"]
+                _layer_from_entry(entry, path, mmap_mode) for entry in meta["layers"]
             ]
             return cls(
                 model=meta["model"],
                 mode=meta["mode"],
-                backend=meta["backend"],
                 seed=meta["seed"],
                 arch=ArchSpec(**meta["arch"]),
                 layers=layers,
@@ -369,30 +363,9 @@ class ProgrammedState:
         if self.source_path is None:
             return template
         path = Path(self.source_path)
-        mmap_mode = "r" if mmap else None
-
-        def pull(name: Optional[str]) -> Optional[np.ndarray]:
-            if name is None:
-                return None
-            return np.load(path / name, mmap_mode=mmap_mode)
-
         try:
             entry = json.loads((path / _META_NAME).read_text())["layers"][position]
-            return LayerState(
-                name=entry["name"],
-                index=entry["index"],
-                kind=entry["kind"],
-                out_channels=entry["out_channels"],
-                n_groups=entry["n_groups"],
-                w_scales=pull(entry["w_scales"]),
-                bias=pull(entry["bias"]),
-                stride=entry["stride"],
-                pad=entry["pad"],
-                kernel=entry["kernel"],
-                q=pull(entry["q"]),
-                encoded=pull(entry["encoded"]),
-                conductances=[pull(name) for name in entry["conductances"]],
-            )
+            return _layer_from_entry(entry, path, "r" if mmap else None)
         except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
             raise EngineError(
                 f"corrupt programmed state at {path}: "
@@ -486,10 +459,9 @@ class ProgrammedStateCache:
         network: "Network",
         ctx: Optional["SimContext"] = None,
         mode: str = "analog",
-        backend: Optional[str] = None,
         params: Optional["NetworkParams"] = None,
     ) -> Tuple[ProgrammedState, str]:
-        """The state for ``(network, ctx, mode, backend)``, programming on miss.
+        """The state for ``(network, ctx, mode)``, programming on miss.
 
         Returns ``(state, source)`` with ``source`` one of ``"memory"``,
         ``"disk"`` or ``"programmed"`` — the cache-hit observability the CLI
@@ -500,17 +472,10 @@ class ProgrammedStateCache:
         from repro.engine.executor import program
 
         ctx = ctx or SimContext()
-        backend = backend if backend is not None else ctx.backend
-        if backend not in ENGINE_BACKENDS:
-            raise EngineError(
-                f"unknown engine backend {backend!r}; choose from: {ENGINE_BACKENDS}"
-            )
-        key = state_key(
-            network.name, ctx.arch, mode, backend, ctx.seed, ctx.compute_dtype
-        )
+        key = state_key(network.name, ctx.arch, mode, ctx.seed, ctx.compute_dtype)
         state, source = self._lookup(key)
         if state is None:
-            state = program(network, ctx, mode, params=params, backend=backend)
+            state = program(network, ctx, mode, params=params)
             self.put(state)
             source = "programmed"
         self.counts[source] += 1

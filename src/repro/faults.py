@@ -165,9 +165,8 @@ def apply_tile_faults(
     """Apply ``faults`` to one tile's per-slice conductance arrays, in place.
 
     ``slices`` holds one *writable* 2-D ``(height, width)`` conductance
-    array (or view) per bit-cell slice of the tile — the packed backend
-    passes views into its per-slice tensors, the tiled backend the private
-    arrays of its crossbar objects.  ``cell`` is the
+    array (or view) per bit-cell slice of the tile — the packed engine
+    passes views into its per-slice tensors.  ``cell`` is the
     :class:`repro.circuits.reram.ReRAMCellSpec` supplying ``g_min``/``g_max``.
 
     Application order models the physics: drift acts on whatever was

@@ -3,8 +3,7 @@
 Public surface: :mod:`repro.kernels.dispatch` — every consumer goes
 through its entry points (``readout_fused``, ``slice_recombine``,
 ``im2col_pack``) and tier resolution (``resolve`` / ``available``).  The
-implementation modules (``numpy_impl``, ``c_impl``, ``numba_impl``) are
-internal; the ``kernel-dispatch`` rule in ``repro.analysis`` flags any
+implementation modules (``numpy_impl``, ``c_impl``) are internal; the ``kernel-dispatch`` rule in ``repro.analysis`` flags any
 direct import of them from outside this package.
 """
 

@@ -28,9 +28,7 @@ Every wrapper below guards the compiled fast path: canonical dtypes
 (float32/float64), sane shapes, element-addressable strides.  Calls
 outside the fast path delegate to :mod:`repro.kernels.numpy_impl`, so this
 module accepts exactly the same inputs as the reference and never changes
-a result — only its speed.  ctypes releases the GIL for the duration of
-each foreign call, which is what lets the threaded chunk walk in
-``engine/packed.py`` run chunks truly concurrently.
+a result — only its speed.
 """
 
 from __future__ import annotations

@@ -6,15 +6,10 @@ registry of implementation tiers backs each entry point:
 
 ``c``
     Hand-written C (``readout.c``) compiled on first use with the system C
-    compiler and loaded through :mod:`ctypes` (which releases the GIL for
-    the duration of every call — the property the threaded chunk walk in
-    ``engine/packed.py`` relies on).  Bit-for-bit identical to the numpy
-    tier; built lazily into a content-hash-keyed cache, or ahead of time
-    via ``python -m repro.kernels.build`` / the optional ``setup.py``
-    extension.
-``numba``
-    ``@njit(cache=True)`` mirrors of the same loops, used when numba is
-    installed (it is an optional dependency) and the C tier is not.
+    compiler and loaded through :mod:`ctypes`.  Bit-for-bit identical to
+    the numpy tier; built lazily into a content-hash-keyed cache, or ahead
+    of time via ``python -m repro.kernels.build`` / the optional
+    ``setup.py`` extension.
 ``numpy``
     The historical pure-numpy code, extracted verbatim into
     :mod:`repro.kernels.numpy_impl`.  Always available; the bit-for-bit
@@ -24,16 +19,15 @@ Selection: the first available tier in ``KERNEL_TIERS`` order, overridden
 by (highest precedence first) an explicit ``kernel=`` argument, the
 ``SimContext.kernel`` field / ``--kernel`` CLI flag (which pass that
 argument), or the ``REPRO_KERNEL`` environment variable.  A requested tier
-that is unavailable (no compiler, no numba) degrades to the next tier with
-a one-time warning — kernels never make an environment fail.
+that is unavailable (no compiler) degrades to the next tier with a
+one-time warning — kernels never make an environment fail.
 
 The kernel tier is performance metadata, not simulation semantics: float64
 results are bit-identical across tiers, so the tier name deliberately
 stays out of every content key (``SimContext.kernel`` is ``compare=False``;
 see ``engine/state.py``).
 
-Implementation modules (``numpy_impl``, ``c_impl``, ``numba_impl``) must
-never be imported directly by engine code — the ``kernel-dispatch``
+Implementation modules (``numpy_impl``, ``c_impl``) must never be imported directly by engine code — the ``kernel-dispatch``
 rule in ``repro.analysis`` enforces that only this module reaches them,
 which is what keeps the fallback contract honest.
 """
@@ -52,7 +46,7 @@ import numpy as np
 from repro.kernels import numpy_impl
 
 #: preference order of the implementation tiers
-KERNEL_TIERS: Tuple[str, ...] = ("c", "numba", "numpy")
+KERNEL_TIERS: Tuple[str, ...] = ("c", "numpy")
 #: valid values for SimContext.kernel / --kernel / REPRO_KERNEL
 KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_TIERS
 #: environment variable overriding the default tier
@@ -107,13 +101,11 @@ def _probe(name: str) -> Optional[ModuleType]:
                 from repro.kernels import c_impl as module
 
                 module.load()  # compiles on first ever use, then cached
-            elif name == "numba":
-                from repro.kernels import numba_impl as module
             else:  # pragma: no cover - registry and tiers kept in sync
                 raise KernelError(f"unknown kernel tier {name!r}")
         except KernelError:
             raise
-        except Exception as exc:  # missing compiler/numba must never fail
+        except Exception as exc:  # a missing compiler must never fail
             _unavailable[name] = f"{type(exc).__name__}: {exc}"
             return None
         _modules[name] = module

@@ -3,7 +3,7 @@
 This module is the read-out / im2col code that used to live inline in
 :meth:`repro.circuits.timing.TimeDomainChainSpec.read_out` and
 :meth:`repro.engine.packed.PackedMatmul._analog_products`, extracted
-verbatim.  Every other tier (``c``, ``numba``) is tested bit-for-bit
+verbatim.  The compiled ``c`` tier is tested bit-for-bit
 against these functions in float64 — when in doubt, this file defines
 what "correct" means.
 

@@ -31,10 +31,8 @@
  * the exact accumulation order numpy's einsum "s,tsgpc->gpc" uses, which
  * the float64 bit-identity tests pin down.
  *
- * The loops touch disjoint data per (t, s, g, p) row, carry no global
- * state, and are called through ctypes (which releases the GIL), so they
- * are safe to run concurrently from the threaded chunk walk in
- * `engine/packed.py`.
+ * The loops touch disjoint data per (t, s, g, p) row and carry no global
+ * state.
  */
 
 #include <stdint.h>

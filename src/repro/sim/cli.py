@@ -18,12 +18,13 @@ Five subcommands share one :class:`repro.context.SimContext`:
   crossbars and persist the chip state into the cache directory that later
   ``run --state-cache`` / ``sweep --state-cache`` invocations hit;
 * ``sweep`` — the Monte-Carlo accuracy study: a (model x noise-scale x
-  trial x cell-bits x backend) grid through a resumable process-pool sweep
-  (:mod:`repro.sweep`) that programs each distinct chip state once and
-  shares it across trials, reduced to mean/p95 relative error per scale;
+  trial x cell-bits x compute-dtype x stuck-fraction) grid through a
+  resumable process-pool sweep (:mod:`repro.sweep`) that programs each
+  distinct chip state once and shares it across trials, reduced to
+  mean/p95 relative error per scale;
 * ``bench`` — the tracked performance smoke: vgg_d estimation plus a cnn_1
   engine run, the im2col micro-benchmark, the program-once sweep legs
-  (legacy vs shared-state vs warm pool), the programming-cache timings, a
+  (inline vs warm pool), the programming-cache timings, a
   branching-topology engine smoke (residual block, analog, validated), the
   liveness-freeing peak-memory comparison and the streaming section
   (float64-vs-float32 deep forward, chunk-fused read-out peak, streamed-
@@ -43,7 +44,6 @@ from typing import List, Optional, Sequence
 from repro.circuits.noise import HardwareNoiseConfig, stable_seed
 from repro.context import (
     COMPUTE_DTYPES,
-    ENGINE_BACKENDS,
     ArchSpec,
     SimContext,
     accelerator_factories,
@@ -124,17 +124,6 @@ def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
             "never changes results or content keys)"
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker threads for the chunked packed read-out walk "
-            "(effective with --chunk-bytes and a GIL-releasing kernel "
-            "tier; byte-identical output at any count; default: 1)"
-        ),
-    )
 
 
 def _compute_kwargs(args: argparse.Namespace) -> dict:
@@ -142,7 +131,6 @@ def _compute_kwargs(args: argparse.Namespace) -> dict:
         "compute_dtype": args.compute_dtype,
         "chunk_bytes": args.chunk_bytes,
         "kernel": args.kernel,
-        "threads": args.threads,
     }
 
 
@@ -333,15 +321,6 @@ def build_run_parser() -> argparse.ArgumentParser:
         help="tile read-out: full time-domain chains or exact integer",
     )
     parser.add_argument(
-        "--backend",
-        choices=ENGINE_BACKENDS,
-        default=ENGINE_BACKENDS[0],
-        help=(
-            "execution backend: packed per-slice tensors (fast, default) or "
-            "the legacy per-tile crossbar objects"
-        ),
-    )
-    parser.add_argument(
         "--batch",
         type=_positive_int,
         default=0,
@@ -437,12 +416,6 @@ def build_program_parser() -> argparse.ArgumentParser:
         help="tile read-out the state is packed for",
     )
     parser.add_argument(
-        "--backend",
-        choices=ENGINE_BACKENDS,
-        default=ENGINE_BACKENDS[0],
-        help="execution backend the state is packed for (default: packed)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=0, help="seed of the deterministic weights"
     )
     parser.add_argument(
@@ -481,12 +454,7 @@ def main_program(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.engine import EngineError, ProgrammedStateCache
 
-    ctx = SimContext(
-        arch=arch,
-        seed=args.seed,
-        backend=args.backend,
-        compute_dtype=args.compute_dtype,
-    )
+    ctx = SimContext(arch=arch, seed=args.seed, compute_dtype=args.compute_dtype)
     cache = ProgrammedStateCache(root=args.state_cache)
     start = time.perf_counter()
     try:
@@ -501,7 +469,6 @@ def main_program(argv: Optional[Sequence[str]] = None) -> int:
         doc = {
             "model": args.model,
             "mode": args.mode,
-            "backend": args.backend,
             "seed": args.seed,
             "compute_dtype": args.compute_dtype,
             "key": state.key,
@@ -516,8 +483,7 @@ def main_program(argv: Optional[Sequence[str]] = None) -> int:
 
     action = "programmed" if source == "programmed" else f"cache hit ({source})"
     print(
-        f"{action}: {args.model} ({args.mode}, {args.backend} backend, "
-        f"seed {args.seed}) -> {state.key}"
+        f"{action}: {args.model} ({args.mode}, seed {args.seed}) -> {state.key}"
     )
     print(
         f"  {len(state.layers)} layers, {state.nbytes / 1e6:.1f} MB, "
@@ -545,8 +511,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sim bench",
         description=(
             "Performance smoke: time the vgg_d estimator, a cnn_1 engine run "
-            "on both execution backends (packed vs legacy tiled, with peak "
-            "memory) and the im2col kernel, run a branching-model engine "
+            "(with peak memory) and the im2col kernel, run a branching-model engine "
             "smoke and the liveness-freeing memory comparison, and write the "
             "numbers to a JSON artifact at the repository root."
         ),
@@ -567,15 +532,15 @@ def build_bench_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="batch size of the engine backend comparison (default: 4)",
+        help="batch size of the engine timing (default: 4)",
     )
     parser.add_argument(
         "--deep-model",
         default=None,
         metavar="MODEL",
         help=(
-            "additionally run MODEL (e.g. vgg_d) end to end on the packed "
-            "analog backend without validation and record its timing; "
+            "additionally run MODEL (e.g. vgg_d) end to end in analog "
+            "mode without validation and record its timing; "
             "skipped by default because deep models take minutes"
         ),
     )
@@ -601,9 +566,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
         default="mlp_l",
         metavar="MODEL",
         help=(
-            "model of the sweep smoke (default: mlp_l — programming-heavy "
-            "FC stack, so the program-once amortisation is visible against "
-            "the per-trial forward cost)"
+            "model of the sweep smoke (default: mlp_l — a programming-heavy "
+            "FC stack)"
         ),
     )
     parser.add_argument(
@@ -837,7 +801,6 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         arch=arch,
         noise=noise,
         seed=args.seed,
-        backend=args.backend,
         faults=faults,
         **compute,
     )
@@ -881,7 +844,6 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         doc = {
             "model": args.model,
             "mode": args.mode,
-            "backend": args.backend,
             "batch": args.batch,
             "validate": validate,
             "noise_scale": args.noise,
@@ -889,7 +851,6 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
             "compute_dtype": args.compute_dtype,
             "chunk_bytes": args.chunk_bytes,
             "kernel": _resolved_kernel(args.kernel),
-            "threads": args.threads,
             "stream": args.stream,
             "crossbars": executor.crossbars,
             "rel_error": _err(result.rel_error),
@@ -947,11 +908,10 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
     kernel_note = (
         f", kernel {_resolved_kernel(args.kernel)}" if args.kernel != "auto" else ""
     )
-    threads_note = f", {args.threads} threads" if args.threads > 1 else ""
     print(
-        f"Engine run — {args.model} ({args.mode}, {args.backend} backend, "
+        f"Engine run — {args.model} ({args.mode}, "
         f"noise x{args.noise:g}, seed {args.seed}{batch_note}"
-        f"{dtype_note}{stream_note}{kernel_note}{threads_note})"
+        f"{dtype_note}{stream_note}{kernel_note})"
     )
     header = f"{'layer':<22} {'kind':<8} {'xbars':>6} {'rel. error':>12}"
     print(header)
@@ -990,7 +950,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         prog="python -m repro.sim sweep",
         description=(
             "Monte-Carlo accuracy sweep: run a (model x noise-scale x trial "
-            "x cell-bits x backend) grid of engine trials through a process "
+            "x cell-bits x compute-dtype x stuck-fraction) grid of engine "
+            "trials through a process "
             "pool, record each trial in a resumable JSON-lines store and "
             "reduce the rows to mean/p95 relative error per noise scale."
         ),
@@ -1077,15 +1038,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         default="4",
         metavar="BITS",
         help="comma-separated bits-per-cell grid values (default: 4)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=ENGINE_BACKENDS[0],
-        metavar="NAME",
-        help=(
-            "comma-separated engine backends to sweep "
-            f"(choose from: {', '.join(ENGINE_BACKENDS)}; default: packed)"
-        ),
     )
     parser.add_argument(
         "--mode",
@@ -1177,7 +1129,6 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
             noise_scales=tuple(_parse_list(args.noise_grid, float, "--noise-grid")),
             trials=args.trials,
             cell_bits=tuple(_parse_list(args.cell_bits, int, "--cell-bits")),
-            backends=tuple(_parse_list(args.backend, str, "--backend")),
             seed=args.seed,
             mode=args.mode,
             rows=args.rows,
@@ -1268,7 +1219,7 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _timed_engine_run(
-    network, ctx, backend: str, x, repeats: int = 5, with_rel_error: bool = False
+    network, ctx, x, repeats: int = 5, with_rel_error: bool = False
 ) -> dict:
     """Engine timing (programming and execution separately) plus peak memory.
 
@@ -1286,7 +1237,7 @@ def _timed_engine_run(
     incomplete peak.  ``elapsed_s`` is then re-timed best-of-``repeats``
     with tracing **off**, so the headline forward timing carries no
     overhead.  All timed runs skip validation (the float double-compute
-    would hide the backend difference).
+    would dominate the engine timing).
     """
     import tracemalloc
 
@@ -1294,7 +1245,7 @@ def _timed_engine_run(
 
     tracemalloc.start()
     start = time.perf_counter()
-    executor = NetworkExecutor(network, ctx, mode="analog", backend=backend)
+    executor = NetworkExecutor(network, ctx, mode="analog")
     program_s = time.perf_counter() - start
     executor.run(x, validate=False)
     _, peak = tracemalloc.get_traced_memory()
@@ -1342,16 +1293,13 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     estimates = compare_accelerators(estimator_net, pipelined=True)
     estimator_elapsed = time.perf_counter() - start
 
-    # 2. functional engine: packed vs legacy tiled backend on the same batch
+    # 2. functional engine: the packed executor on one batch
     ctx = SimContext()
     executor = NetworkExecutor(engine_net, ctx, mode="analog")
     batch = max(args.engine_batch, 1)
     x = executor.random_batch(batch)
-    backends = {
-        backend: _timed_engine_run(engine_net, ctx, backend, x)
-        for backend in ("packed", "tiled")
-    }
-    # one validated packed run of the actual batch for the accuracy figure
+    engine_timing = _timed_engine_run(engine_net, ctx, x)
+    # one validated run of the actual batch for the accuracy figure
     result = executor.run(x)
 
     # 3. im2col kernel micro-benchmark (vgg_d conv1_1 geometry), best of 3
@@ -1370,25 +1318,22 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     loop_elapsed = best_of(F._im2col_loop)
     vectorized_elapsed = best_of(F.im2col)
 
-    # 4. optional deep-model run on the packed backend (no validation),
-    # measured with the same methodology as the backend comparison above
+    # 4. optional deep-model run (no validation), measured with the same
+    # methodology as the engine timing above
     deep = None
     if deep_net is not None:
         deep = {
             "model": args.deep_model,
             "mode": "analog",
-            "backend": "packed",
             "validate": False,
-            **_timed_engine_run(deep_net, ctx, "packed", None, repeats=1),
+            **_timed_engine_run(deep_net, ctx, None, repeats=1),
         }
 
-    # 5. Monte-Carlo sweep smoke: the legacy program-every-trial serial path
-    # against the program-once paths.  The grid carries enough noisy trials
-    # that per-trial compute dominates bookkeeping, and the pooled leg runs
-    # on a pre-warmed pool with its startup reported separately — so
-    # parallel_speedup measures steady-state throughput of the new path
-    # (shared programming + chunked pool) over the old one (re-programming
-    # in every trial, inline), not process spawn overhead.
+    # 5. Monte-Carlo sweep smoke: the program-once path inline and through
+    # a pre-warmed pool whose startup is reported separately.  The grid
+    # carries enough noisy trials that per-trial compute dominates
+    # bookkeeping.  Pooled vs inline is recorded, not asserted: on a few
+    # cores it weighs process parallelism against BLAS threading.
     import tempfile
 
     from repro.sweep import SweepGrid, SweepStore, run_sweep, warm_pool
@@ -1400,12 +1345,6 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         seed=0,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        legacy = run_sweep(
-            grid,
-            SweepStore(Path(tmp) / "legacy.jsonl"),
-            workers=1,
-            share_state=False,
-        )
         shared = run_sweep(grid, SweepStore(Path(tmp) / "shared.jsonl"), workers=1)
         pool, pool_startup_s = warm_pool(args.sweep_workers)
         try:
@@ -1420,21 +1359,16 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     sweep = {
         "model": args.sweep_model,
         "trials": len(grid),
-        "engine_runs": legacy.executed,
+        "engine_runs": shared.executed,
         "workers": args.sweep_workers,
-        # legacy path: every trial re-programs its chip, inline
-        "serial_s": legacy.elapsed_s,
-        # program-once path, still inline: isolates the amortisation win
+        # program-once path, inline
         "shared_serial_s": shared.elapsed_s,
         "program_s": shared.program_s,
         # program-once path through the (pre-warmed) pool; startup separate
         "parallel_s": pooled.elapsed_s,
         "pool_startup_s": pool_startup_s,
-        "serial_trials_per_sec": legacy.trials_per_sec,
         "parallel_trials_per_sec": pooled.trials_per_sec,
-        # the headline: new steady-state path vs the old path
-        "parallel_speedup": legacy.elapsed_s / pooled.elapsed_s,
-        # pool cost/benefit at this core count: pooled vs inline, both shared
+        # pool cost/benefit at this core count: pooled vs inline
         "steady_state_speedup": shared.elapsed_s / pooled.elapsed_s,
     }
 
@@ -1466,15 +1400,12 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     }
 
     # 6. branching-topology engine smoke: a DAG model (residual add +
-    # projection branch) timed with the same methodology as the backend
-    # comparison, plus one validated run for the rel-error figure
+    # projection branch) timed with the same methodology as the engine
+    # timing, plus one validated run for the rel-error figure
     branching = {
         "model": args.branching_model,
         "mode": "analog",
-        "backend": ctx.backend,
-        **_timed_engine_run(
-            branching_net, ctx, ctx.backend, None, repeats=3, with_rel_error=True
-        ),
+        **_timed_engine_run(branching_net, ctx, None, repeats=3, with_rel_error=True),
     }
 
     # 7. liveness-based activation freeing: peak live activation bytes of
@@ -1538,7 +1469,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     #    while digital recombination stays double
     dtype_runs = {
         dtype: _timed_engine_run(
-            stream_net, SimContext(compute_dtype=dtype), "packed", None, repeats=3
+            stream_net, SimContext(compute_dtype=dtype), None, repeats=3
         )
         for dtype in COMPUTE_DTYPES
     }
@@ -1546,7 +1477,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     #    working set, against the unchunked packed peak measured above
     chunk_bytes = 1 << 16
     chunked = _timed_engine_run(
-        engine_net, SimContext(chunk_bytes=chunk_bytes), "packed", x, repeats=3
+        engine_net, SimContext(chunk_bytes=chunk_bytes), x, repeats=3
     )
     #    (c) streaming: resident vs streamed subprocess runs against one
     #    disk-backed programmed state, compared on self-reported peak RSS
@@ -1590,8 +1521,8 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
             "model": args.engine_model,
             "chunk_bytes": chunk_bytes,
             "peak_mb": chunked["peak_mb"],
-            "unchunked_peak_mb": backends["packed"]["peak_mb"],
-            "reduction": backends["packed"]["peak_mb"] / chunked["peak_mb"],
+            "unchunked_peak_mb": engine_timing["peak_mb"],
+            "reduction": engine_timing["peak_mb"] / chunked["peak_mb"],
             "elapsed_s": chunked["elapsed_s"],
         },
         "stream": {
@@ -1618,8 +1549,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     # available tier on one resnet_18-class charge block (3 input slices x
     # 2 weight slices x 3136 positions x 64 columns, the conv2_x working
     # set), every tier fed identical inputs through the public dispatch
-    # entry point; plus the threaded chunk walk at 1/2/4 workers on the
-    # section-2 batch.  Tiers are bit-identical in float64 so the fastest
+    # entry point.  Tiers are bit-identical in float64 so the fastest
     # result is also the reference result.
     from repro.circuits.timing import TimeDomainChainSpec
     from repro.kernels import dispatch as kernel_dispatch
@@ -1651,16 +1581,6 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         return best
 
     tier_times = {tier: _time_tier(tier) for tier in kernel_dispatch.available()}
-    threaded_runs = {
-        workers: _timed_engine_run(
-            engine_net,
-            SimContext(chunk_bytes=1 << 16, threads=workers),
-            "packed",
-            x,
-            repeats=3,
-        )["elapsed_s"]
-        for workers in (1, 2, 4)
-    }
     kernels_bench = {
         "tiers": list(kernel_dispatch.available()),
         "default": kernel_dispatch.default_kernel(),
@@ -1676,12 +1596,6 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         "fused_speedup": (
             tier_times["numpy"] / tier_times["c"] if "c" in tier_times else None
         ),
-        "threaded": {
-            "model": args.engine_model,
-            "chunk_bytes": 1 << 16,
-            "elapsed_s": {str(w): t for w, t in threaded_runs.items()},
-            "speedup": threaded_runs[1] / min(threaded_runs[2], threaded_runs[4]),
-        },
     }
 
     doc = {
@@ -1702,12 +1616,8 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
             "model": args.engine_model,
             "mode": "analog",
             "batch": batch,
-            # legacy flat keys mirror the packed backend (the default)
-            "elapsed_s": backends["packed"]["elapsed_s"],
             "rel_error": result.rel_error,
-            "crossbars": backends["packed"]["crossbars"],
-            "backends": backends,
-            "speedup": backends["tiled"]["elapsed_s"] / backends["packed"]["elapsed_s"],
+            **engine_timing,
         },
         "im2col": {
             "loop_s": loop_elapsed,
@@ -1733,11 +1643,8 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(
         f"  engine ({args.engine_model}, batch {batch}): "
-        f"packed {backends['packed']['elapsed_s']:.3f}s "
-        f"({backends['packed']['peak_mb']:.1f} MB peak) vs "
-        f"tiled {backends['tiled']['elapsed_s']:.3f}s "
-        f"({backends['tiled']['peak_mb']:.1f} MB peak) — "
-        f"{doc['engine']['speedup']:.1f}x, rel error {result.rel_error:.2e}"
+        f"{engine_timing['elapsed_s']:.3f}s forward "
+        f"({engine_timing['peak_mb']:.1f} MB peak), rel error {result.rel_error:.2e}"
     )
     print(f"  im2col: {doc['im2col']['speedup']:.0f}x vs loop")
     print(
@@ -1764,10 +1671,9 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(
         f"  sweep ({sweep['model']}, {sweep['trials']} trials): "
-        f"{sweep['serial_trials_per_sec']:.1f} trials/s legacy serial, "
-        f"{sweep['parallel_speedup']:.2f}x program-once with "
-        f"{sweep['workers']} workers "
-        f"(+{sweep['pool_startup_s']:.2f}s pool startup, reported apart)"
+        f"{sweep['parallel_trials_per_sec']:.1f} trials/s with "
+        f"{sweep['workers']} workers, {sweep['steady_state_speedup']:.2f}x vs "
+        f"inline (+{sweep['pool_startup_s']:.2f}s pool startup, reported apart)"
     )
     print(
         f"  programming cache ({programming_cache['model']}): "
@@ -1804,8 +1710,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(
         f"  kernels (tiers: {', '.join(kernels_bench['tiers'])}; default "
-        f"{kernels_bench['default']}): {fused_note}; threaded chunk walk "
-        f"{kernels_bench['threaded']['speedup']:.2f}x on "
+        f"{kernels_bench['default']}): {fused_note} on "
         f"{kernels_bench['cores']} core(s)"
     )
     if deep is not None:

@@ -1,8 +1,8 @@
 """Monte-Carlo parameter-sweep engine over the functional simulator.
 
 Reproduces the paper's Section-V "accuracy vs. analog error" study at
-scale: a grid of (model x noise-scale x trial-seed x cell-bits x backend)
-engine trials runs through a process pool, every completed trial lands in
+scale: a grid of (model x noise-scale x trial-seed x cell-bits x compute
+dtype x stuck fraction) engine trials runs through a process pool, every completed trial lands in
 an incremental JSON-lines store keyed by content (so interrupted sweeps
 resume and completed ones are free to re-invoke), and the rows reduce to
 mean / p95 relative error per noise scale with per-layer attribution.
@@ -14,7 +14,7 @@ mean / p95 relative error per noise scale with per-layer attribution.
 * :mod:`repro.sweep.stats` — :func:`summarize` / :func:`format_summary`.
 
 The pool is program-once/run-many: each distinct (model, arch, mode,
-backend, seed) group is programmed a single time into a
+seed, compute dtype) group is programmed a single time into a
 :class:`repro.engine.ProgrammedState` snapshot that every trial — across
 noise scales and worker processes — executes from, instead of re-building
 the chip per trial.

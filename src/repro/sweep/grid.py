@@ -1,7 +1,8 @@
 """Monte-Carlo sweep grids: trial specifications and their content keys.
 
-A sweep is the cartesian product of (model x cell-bits x backend x noise
-scale x trial index) over one architecture/seed configuration — the
+A sweep is the cartesian product of (model x cell-bits x compute dtype x
+stuck fraction x noise scale x trial index) over one architecture/seed
+configuration — the
 "accuracy vs. analog error" characterisation of Section V.  Each point is a
 :class:`TrialSpec`: a small frozen dataclass of primitives that
 
@@ -22,11 +23,14 @@ import math
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
-from repro.context import COMPUTE_DTYPES, ENGINE_BACKENDS, ArchSpec, SimContext
+from repro.context import COMPUTE_DTYPES, ArchSpec, SimContext
 
-#: engine read-out modes a sweep may run (mirrors repro.engine.tiles.MODES
+#: engine read-out modes a sweep may run (mirrors repro.engine.packed.MODES
 #: without importing the engine at grid-definition time)
 SWEEP_MODES = ("analog", "ideal")
+
+#: the tuple-valued grid axes of :class:`SweepGrid` (trials aside)
+_AXES = ("models", "noise_scales", "cell_bits", "compute_dtypes", "stuck_fractions")
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class TrialSpec:
     noise_scale: float
     trial: int
     cell_bits: int = 4
-    backend: str = "packed"
     seed: int = 0
     mode: str = "analog"
     rows: int = 256
@@ -103,7 +106,6 @@ class TrialSpec:
             arch=arch,
             noise=noise,
             seed=self.seed,
-            backend=self.backend,
             compute_dtype=self.compute_dtype,
             faults=faults,
         )
@@ -116,13 +118,13 @@ class TrialSpec:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The full cartesian sweep over models, noise scales, cells and backends."""
+    """The full cartesian sweep over models, noise scales, cells, dtypes and
+    stuck fractions."""
 
     models: Tuple[str, ...] = ("cnn_1",)
     noise_scales: Tuple[float, ...] = (0.0, 0.5, 1.0)
     trials: int = 8
     cell_bits: Tuple[int, ...] = (4,)
-    backends: Tuple[str, ...] = ("packed",)
     seed: int = 0
     mode: str = "analog"
     rows: int = 256
@@ -137,14 +139,7 @@ class SweepGrid:
         # before validation: duplicates would inflate trial counts and write
         # duplicate rows under one content key, which resume logic assumes
         # cannot happen
-        for name in (
-            "models",
-            "noise_scales",
-            "cell_bits",
-            "backends",
-            "compute_dtypes",
-            "stuck_fractions",
-        ):
+        for name in _AXES:
             values = tuple(dict.fromkeys(getattr(self, name)))
             object.__setattr__(self, name, values)
         if not self.models:
@@ -158,11 +153,6 @@ class SweepGrid:
             raise ValueError("noise scales must be finite and non-negative")
         if not self.cell_bits or any(bits <= 0 for bits in self.cell_bits):
             raise ValueError("cell_bits entries must be positive")
-        unknown = [b for b in self.backends if b not in ENGINE_BACKENDS]
-        if unknown or not self.backends:
-            raise ValueError(
-                f"unknown backends {unknown}; choose from: {ENGINE_BACKENDS}"
-            )
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from: {SWEEP_MODES}")
         bad_dtypes = [d for d in self.compute_dtypes if d not in COMPUTE_DTYPES]
@@ -183,7 +173,6 @@ class SweepGrid:
                 noise_scale=scale,
                 trial=trial,
                 cell_bits=bits,
-                backend=backend,
                 seed=self.seed,
                 mode=self.mode,
                 rows=self.rows,
@@ -193,10 +182,9 @@ class SweepGrid:
                 compute_dtype=dtype,
                 stuck_fraction=stuck,
             )
-            for model, bits, backend, dtype, stuck, scale, trial in itertools.product(
+            for model, bits, dtype, stuck, scale, trial in itertools.product(
                 self.models,
                 self.cell_bits,
-                self.backends,
                 self.compute_dtypes,
                 self.stuck_fractions,
                 self.noise_scales,
@@ -205,26 +193,11 @@ class SweepGrid:
         ]
 
     def __len__(self) -> int:
-        return (
-            len(self.models)
-            * len(self.cell_bits)
-            * len(self.backends)
-            * len(self.compute_dtypes)
-            * len(self.stuck_fractions)
-            * len(self.noise_scales)
-            * self.trials
-        )
+        return math.prod(len(getattr(self, name)) for name in _AXES) * self.trials
 
     def to_dict(self) -> dict:
         """JSON-serialisable description (lists instead of tuples)."""
         doc = asdict(self)
-        for name in (
-            "models",
-            "noise_scales",
-            "cell_bits",
-            "backends",
-            "compute_dtypes",
-            "stuck_fractions",
-        ):
+        for name in _AXES:
             doc[name] = list(doc[name])
         return doc

@@ -11,7 +11,7 @@ and resume boundaries cannot change any result.
 The expensive part of a trial is not the forward pass but the weight
 *programming* that used to happen inside every ``NetworkExecutor``
 construction.  Programming is noise-free, so every trial and noise scale of
-one ``(model, arch, mode, backend, seed)`` group shares a single
+one ``(model, arch, mode, seed, compute dtype)`` group shares a single
 :class:`~repro.engine.state.ProgrammedState`: :func:`run_sweep` programs
 each group **once** in the parent, snapshots it to disk (the sweep's
 ``--state-cache`` directory when given, a temp directory otherwise) and
@@ -19,7 +19,8 @@ ships the snapshot path to the workers — a pool initializer pre-loads it,
 and :func:`run_trial_chunk` runs a whole chunk of trials against the
 memoised state instead of re-programming per trial.  Per-trial programming
 variation is applied at executor wiring from the trial's own noise streams,
-so the rows stay bit-for-bit identical to the re-program-every-trial path.
+so the rows stay bit-for-bit identical to programming each trial from
+scratch.
 
 :func:`run_sweep` drives a grid through a ``ProcessPoolExecutor`` (or
 inline for ``workers <= 1``), appending rows to the
@@ -76,13 +77,13 @@ def run_trial(
     crossbar count — and deliberately **no** wall-clock fields, so rows are
     byte-identical across runs and worker counts.
 
-    ``state``/``network``/``params`` are the program-once fast path: a
-    pre-programmed :class:`~repro.engine.state.ProgrammedState` (with its
-    rebuilt network and parameters) skips quantisation and bit-slice packing
-    and goes straight to wiring — same numbers, noise included, because the
-    state is noise-free and per-trial variation is applied at wiring time.
-    With all three ``None`` the trial programs from scratch (the legacy
-    path, still exercised by ``share_state=False``).
+    ``state``/``network``/``params`` are the program-once path
+    :func:`run_sweep` always takes: a pre-programmed
+    :class:`~repro.engine.state.ProgrammedState` (with its rebuilt network
+    and parameters) skips quantisation and bit-slice packing and goes
+    straight to wiring.  With all three ``None`` the trial programs its own
+    chip — the same row, noise included, because the state is noise-free
+    and per-trial variation is applied at wiring time.
     """
     from repro.engine import NetworkExecutor
     from repro.nn.models import build_model
@@ -221,7 +222,7 @@ def _group_key(spec: TrialSpec) -> str:
 
     Noise scale and trial index are deliberately absent — the state is
     noise-free, so every Monte-Carlo trial of one
-    ``(model, arch, mode, backend, seed, compute_dtype)`` group shares one
+    ``(model, arch, mode, seed, compute_dtype)`` group shares one
     programming.  The compute dtype **is** present: a float32 payload holds
     different bytes than a float64 one, so mixed-precision campaigns must
     not alias in the cache.
@@ -236,9 +237,7 @@ def _group_key(spec: TrialSpec) -> str:
         weight_bits=spec.weight_bits,
         input_bits=spec.input_bits,
     )
-    return state_key(
-        spec.model, arch, spec.mode, spec.backend, spec.seed, spec.compute_dtype
-    )
+    return state_key(spec.model, arch, spec.mode, spec.seed, spec.compute_dtype)
 
 
 @dataclass
@@ -386,8 +385,8 @@ class SweepOutcome:
     #: points deduplicated their identical trials)
     executed: int
     elapsed_s: float
-    #: seconds the parent spent programming shared states (0 with
-    #: ``share_state=False`` or when everything resumed from the store)
+    #: seconds the parent spent programming shared states (0 when
+    #: everything resumed from the store)
     program_s: float = 0.0
     #: seconds spent spawning and warming a pool this call created itself
     #: (0 inline, and 0 when the caller passed a pre-warmed ``pool=``)
@@ -412,7 +411,6 @@ def run_sweep(
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     cache=None,
-    share_state: bool = True,
     pool: Optional[Executor] = None,
     chunk_size: Optional[int] = None,
     max_retries: int = 2,
@@ -439,11 +437,10 @@ def run_sweep(
     set, which records each affected trial as a structured error row
     (spec fields plus an ``"error"`` message) and carries on.
 
-    ``share_state`` (default) programs each distinct
-    ``(model, arch, mode, backend, seed)`` group once in the parent and
-    reuses the snapshot for every trial — bit-identical rows, minus the
-    per-trial re-programming cost; ``share_state=False`` is the legacy
-    program-every-trial path.  ``cache`` (a
+    Each distinct ``(model, arch, mode, seed, compute dtype)`` group is
+    programmed once in the parent and its snapshot reused for every
+    trial — bit-identical rows, minus the per-trial re-programming cost.
+    ``cache`` (a
     :class:`~repro.engine.state.ProgrammedStateCache`) persists and reuses
     programmed states across invocations; without one, snapshots for the
     workers live in a temp directory for the duration of the call.
@@ -540,58 +537,6 @@ def run_sweep(
         # everything resumed (or the grid was empty): nothing to program,
         # and — crucially — no pool to pay startup for
         pass
-    elif not share_state:
-        # legacy path: every trial programs its own chip
-        if pool is None and (workers <= 1 or len(work) == 1):
-            for key, shared in work.items():
-                try:
-                    row = call_with_retries(run_trial, shared)
-                except Exception as exc:
-                    if not keep_going:
-                        raise
-                    emit_error(shared, exc)
-                else:
-                    emit(row, members[key])
-        else:
-            own_pool = pool is None
-            original_pool = pool
-            if own_pool:
-                pool, pool_startup_s = warm_pool(workers)
-            holder: List[Executor] = [pool]
-
-            def rebuild() -> Executor:
-                return warm_pool(max(2, workers))[0]
-
-            def on_result(task: _PoolTask, row: dict) -> None:
-                emit(row, members[task.payload.key])
-
-            def on_failure(task: _PoolTask, exc: BaseException) -> None:
-                if not keep_going:
-                    raise exc
-                emit_error(task.payload, exc)
-
-            tasks = [
-                _PoolTask(fn=run_trial, args=(shared,), payload=shared)
-                for shared in work.values()
-            ]
-            try:
-                _drain_pool(
-                    holder,
-                    rebuild,
-                    tasks,
-                    on_result,
-                    on_failure,
-                    max_retries,
-                    retry_backoff_s,
-                    trial_timeout_s,
-                    progress,
-                )
-            finally:
-                # a rebuilt pool is owned here even when the caller lent the
-                # original (now dead) one; the original is only closed if
-                # this call created it
-                if own_pool or holder[0] is not original_pool:
-                    holder[0].shutdown()
     else:
         from repro.engine import NetworkParams, ProgrammedStateCache
         from repro.nn.models import build_model
@@ -647,7 +592,7 @@ def run_sweep(
                 original_pool = pool
                 if own_pool:
                     pool, pool_startup_s = warm_pool(workers, tuple(paths.values()))
-                holder = [pool]
+                holder: List[Executor] = [pool]
 
                 def rebuild() -> Executor:
                     return warm_pool(max(2, workers), tuple(paths.values()))[0]
@@ -694,6 +639,9 @@ def run_sweep(
                         progress,
                     )
                 finally:
+                    # a rebuilt pool is owned here even when the caller lent
+                    # the original (now dead) one; the original is only
+                    # closed if this call created it
                     if own_pool or holder[0] is not original_pool:
                         holder[0].shutdown()
             finally:

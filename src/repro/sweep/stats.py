@@ -2,8 +2,8 @@
 
 The reducer answers the Section-V question the sweep exists for: how does
 accuracy degrade as the analog error model scales?  Rows are grouped by
-configuration (model, cell bits, backend) and, within each group, by noise
-scale; every (configuration, scale) cell reduces to mean / p95 / max
+configuration (model, cell bits) and, within each group, by noise scale
+and stuck fraction; every (configuration, scale) cell reduces to mean / p95 / max
 relative error plus the per-layer mean errors (error attribution — which
 layer's analog chains contribute the degradation).
 """
@@ -15,14 +15,14 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 #: the fields that identify one sweep configuration group
-GROUP_FIELDS = ("model", "cell_bits", "backend")
+GROUP_FIELDS = ("model", "cell_bits")
 
 
 def summarize(rows: Iterable[dict]) -> List[dict]:
     """Reduce result rows into per-(configuration, noise-scale) statistics.
 
-    Returns one entry per (model, cell_bits, backend, noise_scale,
-    stuck_fraction), sorted canonically, each carrying ``trials``,
+    Returns one entry per (model, cell_bits, noise_scale, stuck_fraction),
+    sorted canonically, each carrying ``trials``,
     ``mean_rel_error``, ``p95_rel_error``, ``max_rel_error``,
     ``std_rel_error`` and a ``layers`` dict of per-layer mean relative
     errors.  Structured error rows (a ``--keep-going`` sweep records failed
@@ -39,9 +39,9 @@ def summarize(rows: Iterable[dict]) -> List[dict]:
         cells.setdefault(group, []).append(row)
 
     summary: List[dict] = []
-    # model/backend sort as strings; cell_bits, noise_scale and
-    # stuck_fraction numerically
-    for group in sorted(cells, key=lambda g: (str(g[0]), g[1], str(g[2]), g[3], g[4])):
+    # model sorts as a string; cell_bits, noise_scale and stuck_fraction
+    # numerically
+    for group in sorted(cells, key=lambda g: (str(g[0]), g[1], g[2], g[3])):
         bucket = cells[group]
         failed = [row for row in bucket if "error" in row]
         ok = [row for row in bucket if "error" not in row]
@@ -74,14 +74,14 @@ def format_summary(summary: List[dict], per_layer: bool = False) -> str:
     """Human-readable table of :func:`summarize` output."""
     lines: List[str] = []
     header = (
-        f"{'model':<12} {'cells':>5} {'backend':<8} {'noise':>6} {'stuck':>6} "
+        f"{'model':<12} {'cells':>5} {'noise':>6} {'stuck':>6} "
         f"{'trials':>6} {'mean err':>11} {'p95 err':>11} {'max err':>11}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for entry in summary:
         line = (
-            f"{entry['model']:<12} {entry['cell_bits']:>5} {entry['backend']:<8} "
+            f"{entry['model']:<12} {entry['cell_bits']:>5} "
             f"{entry['noise_scale']:>6g} {entry.get('stuck_fraction', 0.0):>6g} "
             f"{entry['trials']:>6} "
             f"{entry['mean_rel_error']:>11.3e} {entry['p95_rel_error']:>11.3e} "
@@ -93,5 +93,5 @@ def format_summary(summary: List[dict], per_layer: bool = False) -> str:
         if per_layer and entry["layers"]:
             worst = sorted(entry["layers"].items(), key=lambda kv: -kv[1])
             for name, err in worst:
-                lines.append(f"{'':<12} {'':>5} {'':<8} {'':>6} {name:>20}: {err:.3e}")
+                lines.append(f"{'':<12} {'':>5} {'':>6} {name:>20}: {err:.3e}")
     return "\n".join(lines)

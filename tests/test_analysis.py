@@ -115,8 +115,7 @@ def test_kernel_dispatch_bad_fixture_flags_every_import_form():
     messages = "\n".join(f.message for f in findings)
     assert len(findings) == 3
     assert all(f.rule == "kernel-dispatch" for f in findings)
-    assert "repro.kernels.c_impl" in messages
-    assert "repro.kernels.numba_impl" in messages
+    assert messages.count("repro.kernels.c_impl") == 2
     assert "repro.kernels.numpy_impl" in messages
     assert "repro.kernels.dispatch" in messages  # the remedy is named
 

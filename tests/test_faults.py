@@ -1,6 +1,6 @@
 """Fault-injection subsystem: model validation, seed-stable + nested masks,
 drift direction, redundancy remap, read-out saturation (including the
-saturation=1 no-op), both backends, resident-vs-streamed bit-identity,
+saturation=1 no-op), resident-vs-streamed bit-identity,
 per-trial decorrelation and the ideal-mode no-op."""
 
 import numpy as np
@@ -165,19 +165,17 @@ def _run(model="tiny_cnn", ctx=None, mode="analog"):
     return executor.run()
 
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_faults_degrade_accuracy_and_are_reported(backend):
-    clean = _run(ctx=SimContext(backend=backend))
-    faulted = _run(ctx=SimContext(backend=backend, faults=STUCK))
+def test_faults_degrade_accuracy_and_are_reported():
+    clean = _run(ctx=SimContext())
+    faulted = _run(ctx=SimContext(faults=STUCK))
     assert faulted.rel_error > clean.rel_error
     assert faulted.stuck_cells > 0
     assert clean.stuck_cells == clean.remapped_rows == 0
     assert sum(t.stuck_cells for t in faulted.traces) == faulted.stuck_cells
 
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_faulted_run_is_bit_identical_across_executors(backend):
-    ctx = SimContext(backend=backend, faults=STUCK)
+def test_faulted_run_is_bit_identical_across_executors():
+    ctx = SimContext(faults=STUCK)
     a, b = _run(ctx=ctx), _run(ctx=ctx)
     assert a.rel_error == b.rel_error
     assert a.stuck_cells == b.stuck_cells

@@ -1,6 +1,9 @@
 """ProgrammedState tests: program/from_state compose identity, save/load
 round-trips (eager and mmap) that stay byte-identical through execution,
-state/request mismatch rejection, content keys and the LRU + disk cache."""
+state/request mismatch rejection, content keys, format versioning and the
+LRU + disk cache."""
+
+import json
 
 import numpy as np
 import pytest
@@ -39,12 +42,11 @@ def _assert_identical(fresh_result, rebuilt_result):
 # program / from_state compose identity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
 @pytest.mark.parametrize("mode", ["analog", "ideal"])
-def test_legacy_constructor_equals_program_plus_from_state(backend, mode):
+def test_legacy_constructor_equals_program_plus_from_state(mode):
     """The historical one-shot constructor is exactly program + wire."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(backend=backend)
+    ctx = SimContext()
     legacy = NetworkExecutor(network, ctx, mode=mode)
     state = program(network, ctx, mode)
     rebuilt = NetworkExecutor.from_state(state, network=network, ctx=ctx)
@@ -55,11 +57,10 @@ def test_legacy_constructor_equals_program_plus_from_state(backend, mode):
 def test_from_state_defaults_rebuild_model_and_context():
     """from_state with no network/ctx reconstructs both from the state."""
     network = build_model("tiny_mlp")
-    ctx = SimContext(seed=5, backend="packed")
+    ctx = SimContext(seed=5)
     state = program(network, ctx, "analog")
     rebuilt = NetworkExecutor.from_state(state)
     assert rebuilt.ctx.seed == 5
-    assert rebuilt.backend == "packed"
     fresh = NetworkExecutor(network, ctx)
     x = fresh.random_input()
     _assert_identical(*_run_pair(fresh, rebuilt, x))
@@ -70,25 +71,20 @@ def test_executor_records_its_state():
     executor = NetworkExecutor(network, SimContext())
     assert isinstance(executor.state, ProgrammedState)
     assert executor.state.model == "tiny_mlp"
-    assert executor.state.key == state_key(
-        "tiny_mlp", executor.ctx.arch, "analog", executor.backend, 0
-    )
+    assert executor.state.key == state_key("tiny_mlp", executor.ctx.arch, "analog", 0)
 
 
 # ---------------------------------------------------------------------------
 # save -> load -> execute round-trips
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
 @pytest.mark.parametrize("cell_bits", CELL_SPLITS)
 @pytest.mark.parametrize("mmap", [False, True])
-def test_round_trip_is_byte_identical_across_cell_splits(
-    tmp_path, backend, cell_bits, mmap
-):
+def test_round_trip_is_byte_identical_across_cell_splits(tmp_path, cell_bits, mmap):
     """save -> load (eager and mmap) -> from_state reproduces a freshly
     programmed executor bit-for-bit, for every bit-cell slicing."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits), backend=backend)
+    ctx = SimContext(arch=ArchSpec(cell_bits=cell_bits))
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state", mmap=mmap)
@@ -97,11 +93,10 @@ def test_round_trip_is_byte_identical_across_cell_splits(
     _assert_identical(*_run_pair(fresh, rebuilt, x))
 
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_round_trip_branching_model(tmp_path, backend):
+def test_round_trip_branching_model(tmp_path):
     """A branching DAG (residual adds + projection) survives the round trip."""
     network = build_model("resnet_smoke")
-    ctx = SimContext(backend=backend)
+    ctx = SimContext()
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state")
@@ -110,12 +105,11 @@ def test_round_trip_branching_model(tmp_path, backend):
     _assert_identical(*_run_pair(fresh, rebuilt, x))
 
 
-@pytest.mark.parametrize("backend", ["packed", "tiled"])
-def test_round_trip_with_noise_is_bit_identical(tmp_path, backend):
+def test_round_trip_with_noise_is_bit_identical(tmp_path):
     """Per-trial programming variation applies identically on top of a
     loaded snapshot — the property the sweep pool's byte-identity rests on."""
     network = build_model("tiny_cnn")
-    ctx = SimContext(noise=HardwareNoiseConfig(), seed=3, backend=backend)
+    ctx = SimContext(noise=HardwareNoiseConfig(), seed=3)
     fresh = NetworkExecutor(network, ctx)
     fresh.state.save(tmp_path / "state")
     loaded = ProgrammedState.load(tmp_path / "state")
@@ -132,7 +126,6 @@ def test_saved_meta_and_payload_round_trip_fields(tmp_path):
     loaded = ProgrammedState.load(tmp_path / "state")
     assert loaded.model == state.model
     assert loaded.mode == state.mode
-    assert loaded.backend == state.backend
     assert loaded.seed == state.seed
     assert loaded.arch == state.arch
     assert loaded.key == state.key
@@ -172,6 +165,21 @@ def test_load_rejects_missing_and_wrong_format(tmp_path):
         ProgrammedState.load(path)
 
 
+def test_load_rejects_a_format_2_state_naming_the_format(tmp_path):
+    """A state saved before the single-engine layout (its manifest carries
+    ``backend`` and per-layer ``q`` payloads) fails loudly, never loads."""
+    path, _, _ = _saved_state(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["format"] = 2
+    meta["backend"] = "tiled"
+    np.save(path / "L000_q.npy", np.zeros((1, 4, 4), dtype=np.int64))
+    for i, layer in enumerate(meta["layers"]):
+        layer["q"] = "L000_q.npy" if i == 0 else None
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(EngineError, match="format 2"):
+        ProgrammedState.load(path)
+
+
 # ---------------------------------------------------------------------------
 # state / request mismatch rejection
 # ---------------------------------------------------------------------------
@@ -185,8 +193,8 @@ def test_mismatched_state_is_rejected():
         NetworkExecutor(other, ctx, state=state)
     with pytest.raises(EngineError, match="mode"):
         NetworkExecutor(network, ctx, mode="ideal", state=state)
-    with pytest.raises(EngineError, match="backend"):
-        NetworkExecutor(network, ctx, backend="tiled", state=state)
+    with pytest.raises(EngineError, match="compute_dtype"):
+        NetworkExecutor(network, SimContext(compute_dtype="float32"), state=state)
     with pytest.raises(EngineError, match="seed"):
         NetworkExecutor(network, SimContext(seed=1), state=state)
     with pytest.raises(EngineError, match="arch"):
@@ -210,14 +218,14 @@ def test_noise_difference_is_not_a_mismatch():
 
 def test_state_key_is_stable_and_sensitive():
     arch = ArchSpec()
-    base = state_key("cnn_1", arch, "analog", "packed", 0)
-    assert base == state_key("cnn_1", arch, "analog", "packed", 0)
+    base = state_key("cnn_1", arch, "analog", 0)
+    assert base == state_key("cnn_1", arch, "analog", 0)
     assert len(base) == 16 and int(base, 16) >= 0
-    assert base != state_key("mlp_l", arch, "analog", "packed", 0)
-    assert base != state_key("cnn_1", arch, "ideal", "packed", 0)
-    assert base != state_key("cnn_1", arch, "analog", "tiled", 0)
-    assert base != state_key("cnn_1", arch, "analog", "packed", 1)
-    assert base != state_key("cnn_1", ArchSpec(cell_bits=2), "analog", "packed", 0)
+    assert base != state_key("mlp_l", arch, "analog", 0)
+    assert base != state_key("cnn_1", arch, "ideal", 0)
+    assert base != state_key("cnn_1", arch, "analog", 1)
+    assert base != state_key("cnn_1", ArchSpec(cell_bits=2), "analog", 0)
+    assert base != state_key("cnn_1", arch, "analog", 0, "float32")
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +291,6 @@ def test_cache_ignores_noise_in_lookup():
 def test_cache_rejects_bad_configuration():
     with pytest.raises(ValueError):
         ProgrammedStateCache(memory_entries=-1)
-    with pytest.raises(EngineError, match="backend"):
-        ProgrammedStateCache().get_or_program(
-            build_model("tiny_mlp"), SimContext(), backend="bogus"
-        )
 
 
 def test_cache_mmap_loads_from_disk(tmp_path):
@@ -339,12 +343,10 @@ def test_load_with_missing_payload_file_raises_engine_error(tmp_path):
 
 
 def test_load_with_meta_missing_keys_raises_engine_error(tmp_path):
-    import json as _json
-
     path, _, _ = _saved_state(tmp_path)
-    meta = _json.loads((path / "meta.json").read_text())
+    meta = json.loads((path / "meta.json").read_text())
     del meta["layers"]
-    (path / "meta.json").write_text(_json.dumps(meta))
+    (path / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(EngineError, match="corrupt programmed state"):
         ProgrammedState.load(path)
 

@@ -109,8 +109,8 @@ def test_float32_state_roundtrip_and_distinct_key(tmp_path):
     assert loaded.compute_dtype == "float32"
     assert loaded.key == state.key
     arch = ctx32.arch
-    assert state_key(network.name, arch, "analog", "packed", 0, "float32") != (
-        state_key(network.name, arch, "analog", "packed", 0, "float64")
+    assert state_key(network.name, arch, "analog", 0, "float32") != (
+        state_key(network.name, arch, "analog", 0, "float64")
     )
     # and the payload really is single precision
     assert loaded.layers[0].conductances[0].dtype == np.float32
