@@ -4,7 +4,7 @@ Contract (from the PR-10 kernel subsystem in ``repro.kernels``): the
 implementation tiers — ``repro.kernels.numpy_impl`` and
 ``repro.kernels.c_impl`` — are interchangeable backends behind one
 dispatcher.  The dispatcher owns tier probing, availability caching, the
-``REPRO_KERNEL``/``SimContext.kernel`` override order and the guarantee that
+``kernel=``/``REPRO_KERNEL`` override order and the guarantee that
 a missing compiler degrades to the numpy reference instead of raising.  A
 module that imports an implementation directly bypasses all of that: it
 hard-fails where dispatch would fall back, ignores the user's tier override,

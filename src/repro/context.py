@@ -214,14 +214,6 @@ class SimContext:
     #: analog executions only — ideal mode stays the exact reference — and
     #: are applied at wiring time, so programmed states stay fault-free.
     faults: Optional["FaultModel"] = None
-    #: hot-loop implementation tier serving the read-out chain and im2col
-    #: (see :mod:`repro.kernels.dispatch`): ``"auto"`` (compiled C when it
-    #: builds, else numpy; overridable via ``REPRO_KERNEL``) or an explicit
-    #: tier name.  Performance metadata, not simulation semantics:
-    #: float64 results are bit-identical across tiers, so the tier is
-    #: excluded from equality/hashing and from every content key — cached
-    #: programmed states and sweep trial keys are tier-independent.
-    kernel: str = field(default="auto", compare=False)
 
     # A SimContext is a bag of plain dataclasses (ArchSpec, the stateless
     # HardwareNoiseConfig) and scalars, so it pickles cleanly across the
@@ -240,15 +232,6 @@ class SimContext:
             )
         if self.chunk_bytes is not None and self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive (or None for the default)")
-        # deferred import: repro.kernels.dispatch only imports numpy and
-        # repro.nn.functional, so no cycle back into this module
-        from repro.kernels.dispatch import KERNEL_CHOICES
-
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel tier {self.kernel!r}; "
-                f"choose from: {', '.join(KERNEL_CHOICES)}"
-            )
 
     @property
     def np_compute_dtype(self) -> np.dtype:

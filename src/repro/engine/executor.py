@@ -312,9 +312,6 @@ class _MappedComputeLayer:
         self.pad = state.pad
         self.kernel = state.kernel
         self.out_channels = state.out_channels
-        #: hot-loop tier request for the im2col gather (performance
-        #: metadata off the context; never part of the layer state)
-        self._kernel_tier = ctx.kernel
         # noise scopes derive from the layer index, so noisy draws are
         # independent of how many executors were constructed before this one
         self._packed = PackedMatmul.from_packed(
@@ -367,9 +364,7 @@ class _MappedComputeLayer:
         # through the kernel dispatch layer (compiled gather when
         # available, the historical numpy strided copy otherwise — same
         # bytes and layout either way).
-        cols, out_h, out_w = im2col_pack(
-            values, self.kernel, self.stride, self.pad, kernel=self._kernel_tier
-        )
+        cols, out_h, out_w = im2col_pack(values, self.kernel, self.stride, self.pad)
         positions = cols.shape[1]
         out = self._matmul(cols.reshape(n * positions, -1))
         out = out.reshape(n, positions, self.out_channels)
@@ -502,12 +497,10 @@ class NetworkExecutor:
         """Resident bytes of the programmed weight state across all layers.
 
         The per-slice conductance tensors (or, in ideal mode, the encoded
-        level matrices).  The bench adds this to
-        the traced forward-pass peak for its memory figure.  A streaming
-        executor wires nothing up front, so this reports the backing
-        state's payload bytes (for a memory-mapped state those live on
-        disk, not in RAM — ``ExecutionResult.peak_wired_bytes`` is the
-        resident bound there).
+        level matrices).  A streaming executor wires nothing up front, so
+        this reports the backing state's payload bytes (for a
+        memory-mapped state those live on disk, not in RAM —
+        ``ExecutionResult.peak_wired_bytes`` is the resident bound there).
         """
         if self.stream:
             return self.state.nbytes
@@ -546,8 +539,8 @@ class NetworkExecutor:
         a linear chain that is exactly the declaration order, so sequential
         models take the same numeric path as the flat executor always did.
         An activation is freed as soon as its last consumer has run
-        (``free_activations=False`` keeps everything resident — the bench
-        uses it to pin the liveness memory win); the observed peak is
+        (``free_activations=False`` keeps everything resident — the tests
+        use it to pin the liveness memory win); the observed peak is
         reported as ``peak_activation_bytes``.
 
         ``x`` may be a single ``(C, H, W)`` image or an ``(N, C, H, W)``

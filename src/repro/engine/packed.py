@@ -303,10 +303,6 @@ class PackedMatmul:
         ]
         #: chain scalars shared by every tile of the layer (full tile height)
         self.spec = TimeDomainChainSpec.from_context(ctx)
-        #: hot-loop tier request — performance metadata off the context
-        #: (compare=False there, absent from every content key); results
-        #: do not depend on it
-        self._kernel: Optional[str] = ctx.kernel
         #: noise scopes derived from (seed, salt) — construction-order free
         salt_parts = salt if isinstance(salt, tuple) else (salt,)
         program_noise = None
@@ -486,7 +482,6 @@ class PackedMatmul:
             saturation=self._saturation,
             shifts=self.shifts,
             recombine_out=out[:, p0 : p0 + n],
-            kernel=self._kernel,
         )
 
     def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:

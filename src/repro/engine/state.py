@@ -80,12 +80,11 @@ def state_key(
     every noise scale / trial of a Monte-Carlo sweep shares one entry.
     ``compute_dtype`` **is** part of the key — a float32-programmed payload
     holds different bytes than a float64 one, so the two must never alias
-    in a shared cache.  The kernel tier (``SimContext.kernel``) is
-    deliberately **not** part of the key either: it selects *how* the
-    read-out runs, not *what* it computes — float64 results are
-    bit-identical across tiers (the cross-implementation equivalence tests
-    pin this), so a state programmed under any tier serves every tier.
-    The field is ``compare=False`` on the context for the same reason.
+    in a shared cache.  The kernel tier (``REPRO_KERNEL``) is deliberately
+    **not** part of the key either: it selects *how* the read-out runs,
+    not *what* it computes — float64 results are bit-identical across
+    tiers (the cross-implementation equivalence tests pin this), so a
+    state programmed under any tier serves every tier.
     """
     from repro.circuits.noise import stable_seed
 

@@ -5,13 +5,11 @@ Build model
 The C source ships inside the package.  ``load()`` finds a binary in this
 order:
 
-1. a prebuilt ``repro.kernels._native`` extension next to this file (what
-   the optional ``setup.py`` ``build_ext`` produces on ``pip install .``),
-2. a cached shared object under ``REPRO_KERNEL_CACHE`` (default
+1. a cached shared object under ``REPRO_KERNEL_CACHE`` (default
    ``$XDG_CACHE_HOME/repro-kernels``), keyed by the SHA-256 of the source
    plus the compile flags, so editing ``readout.c`` can never run a stale
    binary,
-3. a fresh compile of ``readout.c`` with the system C compiler
+2. a fresh compile of ``readout.c`` with the system C compiler
    (``REPRO_KERNEL_CC``, else ``cc``/``gcc``/``clang``) into that cache.
 
 Any failure raises :class:`KernelBuildError`, which the dispatcher treats
@@ -94,14 +92,6 @@ def _compiler() -> str:
     )
 
 
-def _find_prebuilt() -> Optional[Path]:
-    """A ``_native`` extension built by the optional setup.py build_ext."""
-    for path in sorted(Path(__file__).parent.glob("_native*")):
-        if path.suffix in (".so", ".pyd", ".dylib"):
-            return path
-    return None
-
-
 def build(verbose: bool = False) -> Path:
     """Compile ``readout.c`` into the cache (idempotent); return the path."""
     source = _source_path()
@@ -179,13 +169,6 @@ def load() -> ctypes.CDLL:
     with _lock:
         if _lib is not None:
             return _lib
-        prebuilt = _find_prebuilt()
-        if prebuilt is not None:
-            try:
-                _lib = _bind(prebuilt)
-                return _lib
-            except (OSError, KernelBuildError):
-                pass  # stale/foreign extension: fall through to a fresh build
         _lib = _bind(build())
         return _lib
 

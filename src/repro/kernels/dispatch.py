@@ -8,24 +8,21 @@ registry of implementation tiers backs each entry point:
     Hand-written C (``readout.c``) compiled on first use with the system C
     compiler and loaded through :mod:`ctypes`.  Bit-for-bit identical to
     the numpy tier; built lazily into a content-hash-keyed cache, or ahead
-    of time via ``python -m repro.kernels.build`` / the optional
-    ``setup.py`` extension.
+    of time via ``python -m repro.kernels.build``.
 ``numpy``
     The historical pure-numpy code, extracted verbatim into
     :mod:`repro.kernels.numpy_impl`.  Always available; the bit-for-bit
     reference every other tier is tested against.
 
 Selection: the first available tier in ``KERNEL_TIERS`` order, overridden
-by (highest precedence first) an explicit ``kernel=`` argument, the
-``SimContext.kernel`` field / ``--kernel`` CLI flag (which pass that
-argument), or the ``REPRO_KERNEL`` environment variable.  A requested tier
-that is unavailable (no compiler) degrades to the next tier with a
-one-time warning — kernels never make an environment fail.
+by (highest precedence first) an explicit ``kernel=`` argument, then the
+``REPRO_KERNEL`` environment variable (which pool workers inherit).  A
+requested tier that is unavailable (no compiler) degrades to the next tier
+with a one-time warning — kernels never make an environment fail.
 
 The kernel tier is performance metadata, not simulation semantics: float64
 results are bit-identical across tiers, so the tier name deliberately
-stays out of every content key (``SimContext.kernel`` is ``compare=False``;
-see ``engine/state.py``).
+stays out of every content key (see ``engine/state.py``).
 
 Implementation modules (``numpy_impl``, ``c_impl``) must never be imported directly by engine code — the ``kernel-dispatch``
 rule in ``repro.analysis`` enforces that only this module reaches them,
@@ -47,7 +44,7 @@ from repro.kernels import numpy_impl
 
 #: preference order of the implementation tiers
 KERNEL_TIERS: Tuple[str, ...] = ("c", "numpy")
-#: valid values for SimContext.kernel / --kernel / REPRO_KERNEL
+#: valid values for ``kernel=`` / REPRO_KERNEL
 KERNEL_CHOICES: Tuple[str, ...] = ("auto",) + KERNEL_TIERS
 #: environment variable overriding the default tier
 ENV_VAR = "REPRO_KERNEL"
@@ -134,11 +131,11 @@ def reset() -> None:
 def resolve(kernel: Optional[str] = None) -> Tuple[str, ModuleType]:
     """The ``(tier name, implementation module)`` serving a request.
 
-    ``kernel`` is an explicit tier request (``SimContext.kernel`` /
-    ``--kernel``); ``None`` or ``"auto"`` defers to ``REPRO_KERNEL`` and
-    then to the registry order.  Unknown names raise :class:`KernelError`;
-    known-but-unavailable tiers fall through to the next tier with a
-    one-time warning, so a numpy-only environment always works.
+    ``kernel`` is an explicit tier request; ``None`` or ``"auto"`` defers
+    to ``REPRO_KERNEL`` and then to the registry order.  Unknown names
+    raise :class:`KernelError`; known-but-unavailable tiers fall through
+    to the next tier with a one-time warning, so a numpy-only environment
+    always works.
     """
     if kernel is None or kernel == "auto":
         kernel = os.environ.get(ENV_VAR) or "auto"

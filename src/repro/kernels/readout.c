@@ -6,8 +6,7 @@
  * the same IEEE-754 rounding.  That is only true when the compiler is
  * forbidden from contracting multiply+add into FMA (numpy rounds each op
  * separately), so this file MUST be compiled with `-ffp-contract=off`.
- * The ctypes loader in `c_impl.py` passes that flag; the optional
- * setuptools build in setup.py does too.
+ * The ctypes loader in `c_impl.py` passes that flag.
  *
  * Layout contract (checked by the Python guards before dispatch):
  *   charges     (T, S, G, P, C)  any element strides, overwritten in place
@@ -192,18 +191,3 @@ API void im2col_f64(
                     }
                 }
 }
-
-#ifdef REPRO_BUILD_PYMODULE
-/* Optional CPython module shell so `pip install .` can build this file as
- * `repro.kernels._native` via setuptools; the exported C symbols above are
- * still reached through ctypes.CDLL on the resulting extension file. */
-#include <Python.h>
-static struct PyModuleDef repro_kernels_moduledef = {
-    PyModuleDef_HEAD_INIT, "_native",
-    "Compiled read-out/im2col kernels (accessed via ctypes, not Python).",
-    -1, NULL,
-};
-PyMODINIT_FUNC PyInit__native(void) {
-    return PyModule_Create(&repro_kernels_moduledef);
-}
-#endif

@@ -22,8 +22,8 @@ The model definitions follow the original publications:
 * ``tiny_cnn`` and ``tiny_mlp`` are small, fast models used by the examples,
   tests and the accuracy study; ``resnet_smoke`` (truncated ResNet stem +
   one residual block) and ``bottleneck_smoke`` (three chained bottleneck
-  blocks) are small *branching* models used by the CI engine smoke and the
-  liveness-memory bench.  None of these four are paper benchmarks.
+  blocks) are small *branching* models used by the branching-engine and
+  liveness-memory tests.  None of these four are paper benchmarks.
 
 All ImageNet models take a 3x224x224 input; MNIST models take 1x28x28.
 """

@@ -6,7 +6,8 @@
   and ``--json`` output;
 * ``run`` — functional simulation through :mod:`repro.engine`, reporting
   the end-to-end output error against the float reference;
-* ``bench`` — the tracked performance smoke, written to a JSON artifact.
+* ``program`` — program a model once into the programmed-state cache;
+* ``sweep`` — the resumable Monte-Carlo accuracy sweep of :mod:`repro.sweep`.
 """
 
 from repro.sim.cli import (
@@ -16,7 +17,6 @@ from repro.sim.cli import (
     format_comparison,
     format_per_layer,
     main,
-    main_bench,
     main_estimate,
     main_run,
 )
@@ -25,7 +25,6 @@ __all__ = [
     "main",
     "main_estimate",
     "main_run",
-    "main_bench",
     "build_parser",
     "build_run_parser",
     "estimate_to_dict",

@@ -1,6 +1,6 @@
 """Command-line interface of the simulator.
 
-Five subcommands share one :class:`repro.context.SimContext`:
+Four subcommands share one :class:`repro.context.SimContext`:
 
 * ``estimate`` (the default when no subcommand is given, preserving the
   historical ``python -m repro.sim --model ...`` invocation) — chip-level
@@ -21,27 +21,22 @@ Five subcommands share one :class:`repro.context.SimContext`:
   trial x cell-bits x compute-dtype x stuck-fraction) grid through a
   resumable process-pool sweep (:mod:`repro.sweep`) that programs each
   distinct chip state once and shares it across trials, reduced to
-  mean/p95 relative error per scale;
-* ``bench`` — the tracked performance smoke: vgg_d estimation plus a cnn_1
-  engine run, the im2col micro-benchmark, the program-once sweep legs
-  (inline vs warm pool), the programming-cache timings, a
-  branching-topology engine smoke (residual block, analog, validated), the
-  liveness-freeing peak-memory comparison and the streaming section
-  (float64-vs-float32 deep forward, chunk-fused read-out peak, streamed-
-  vs-resident subprocess memory), written to a JSON artifact.
+  mean/p95 relative error per scale.
+
+The read-out/im2col kernel tier is not a CLI option: ``REPRO_KERNEL``
+overrides the automatic choice (pool workers inherit it), and ``run`` /
+``sweep --json`` report the tier that served the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.circuits.noise import HardwareNoiseConfig, stable_seed
+from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import (
     COMPUTE_DTYPES,
     ArchSpec,
@@ -49,11 +44,11 @@ from repro.context import (
     accelerator_factories,
 )
 from repro.energy.estimator import NetworkEstimate, compare_accelerators
-from repro.kernels.dispatch import KERNEL_CHOICES
+from repro.kernels.dispatch import default_kernel
 from repro.nn.models import build_model, list_models
 from repro.nn.network import Network
 
-_SUBCOMMANDS = ("estimate", "run", "program", "sweep", "bench")
+_SUBCOMMANDS = ("estimate", "run", "program", "sweep")
 
 
 def _positive_int(text: str) -> int:
@@ -72,13 +67,6 @@ def _positive_int(text: str) -> int:
             f"must be a positive integer (got {value})"
         )
     return value
-
-
-def _resolved_kernel(requested: str) -> str:
-    """The tier name the dispatcher actually selected for ``requested``."""
-    from repro.kernels.dispatch import resolve
-
-    return resolve(requested)[0]
 
 
 def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
@@ -114,24 +102,6 @@ def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
             "releases)"
         ),
     )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help=(
-            "read-out/im2col kernel tier (default: auto — fastest "
-            "available; every tier is bit-identical in float64, so this "
-            "never changes results or content keys)"
-        ),
-    )
-
-
-def _compute_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "compute_dtype": args.compute_dtype,
-        "chunk_bytes": args.chunk_bytes,
-        "kernel": args.kernel,
-    }
 
 
 def _peak_rss_mb(status_path: str = "/proc/self/status") -> Optional[float]:
@@ -139,14 +109,12 @@ def _peak_rss_mb(status_path: str = "/proc/self/status") -> Optional[float]:
 
     Prefers ``VmHWM`` from ``/proc/self/status``: it is the high-water
     mark of *this* process's address space, whereas Linux ``ru_maxrss``
-    is inherited across fork+exec — a subprocess launched from a fat
-    parent (the bench after its vgg_d leg) would otherwise report the
-    parent's peak.  Falls back to ``getrusage`` where procfs is absent or
-    malformed (``ru_maxrss`` is kilobytes on Linux, bytes on macOS), and
-    degrades to ``None`` — never an exception — when neither source works:
-    memory reporting must not take down a run on an exotic platform.  The
-    streaming bench compares streamed vs resident subprocess runs on this
-    figure and tolerates the ``None``.
+    is inherited across fork+exec — a run launched as a subprocess of a
+    fat parent would otherwise report the parent's peak.  Falls back to
+    ``getrusage`` where procfs is absent or malformed (``ru_maxrss`` is
+    kilobytes on Linux, bytes on macOS), and degrades to ``None`` — never
+    an exception — when neither source works: memory reporting must not
+    take down a run on an exotic platform.
     """
     try:
         with open(status_path) as handle:
@@ -493,116 +461,6 @@ def main_program(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _default_bench_output() -> str:
-    """Resolve the default artifact path to the repository root.
-
-    The bench trajectory is recorded in-repo (not only as a CI artifact), so
-    the default walks up from this file looking for ``pyproject.toml``;
-    installed outside a checkout it falls back to the working directory.
-    """
-    for parent in Path(__file__).resolve().parents:
-        if (parent / "pyproject.toml").is_file():
-            return str(parent / "BENCH_engine.json")
-    return "BENCH_engine.json"
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim bench",
-        description=(
-            "Performance smoke: time the vgg_d estimator, a cnn_1 engine run "
-            "(with peak memory) and the im2col kernel, run a branching-model engine "
-            "smoke and the liveness-freeing memory comparison, and write the "
-            "numbers to a JSON artifact at the repository root."
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="path of the JSON artifact (default: BENCH_engine.json at the repo root)",
-    )
-    parser.add_argument(
-        "--estimator-model", default="vgg_d", help="model for the estimator timing"
-    )
-    parser.add_argument(
-        "--engine-model", default="cnn_1", help="model for the engine smoke"
-    )
-    parser.add_argument(
-        "--engine-batch",
-        type=int,
-        default=4,
-        metavar="N",
-        help="batch size of the engine timing (default: 4)",
-    )
-    parser.add_argument(
-        "--deep-model",
-        default=None,
-        metavar="MODEL",
-        help=(
-            "additionally run MODEL (e.g. vgg_d) end to end in analog "
-            "mode without validation and record its timing; "
-            "skipped by default because deep models take minutes"
-        ),
-    )
-    parser.add_argument(
-        "--sweep-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count of the parallel leg of the sweep smoke (default: 2)",
-    )
-    parser.add_argument(
-        "--sweep-trials",
-        type=int,
-        default=16,
-        metavar="N",
-        help=(
-            "Monte-Carlo trials per sweep-smoke grid point (default: 16 — "
-            "enough that trial compute dominates pool bookkeeping)"
-        ),
-    )
-    parser.add_argument(
-        "--sweep-model",
-        default="mlp_l",
-        metavar="MODEL",
-        help=(
-            "model of the sweep smoke (default: mlp_l — a programming-heavy "
-            "FC stack)"
-        ),
-    )
-    parser.add_argument(
-        "--branching-model",
-        default="resnet_smoke",
-        metavar="MODEL",
-        help=(
-            "branching-topology engine smoke: a validated analog run of a "
-            "DAG model (default: resnet_smoke — truncated ResNet stem + one "
-            "residual block)"
-        ),
-    )
-    parser.add_argument(
-        "--liveness-model",
-        default="bottleneck_smoke",
-        metavar="MODEL",
-        help=(
-            "model of the liveness-freeing memory comparison: peak live "
-            "activations with vs without freeing (default: bottleneck_smoke)"
-        ),
-    )
-    parser.add_argument(
-        "--stream-model",
-        default="resnet_18",
-        metavar="MODEL",
-        help=(
-            "deep model of the streaming/dtype section: float64-vs-float32 "
-            "packed forward timing plus resident-vs-streamed subprocess "
-            "peak-memory comparison (default: resnet_18 — deep enough that "
-            "the gemm dominates and the per-layer memory bound is visible)"
-        ),
-    )
-    return parser
-
-
 def _load_model(name: str) -> Network:
     return build_model(name)
 
@@ -772,7 +630,9 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError("--noise scale must be non-negative")
         if args.stream and args.state_cache is None:
             raise ValueError("--stream needs --state-cache (a disk-backed state)")
-        compute = _compute_kwargs(args)
+        if args.mmap and args.state_cache is None:
+            raise ValueError("--mmap needs --state-cache (a disk-backed state)")
+        kernel = default_kernel()  # a bad REPRO_KERNEL fails here, not mid-run
         noise = (
             HardwareNoiseConfig.scaled(args.noise, seed=args.noise_seed)
             if args.noise > 0
@@ -802,7 +662,8 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         noise=noise,
         seed=args.seed,
         faults=faults,
-        **compute,
+        compute_dtype=args.compute_dtype,
+        chunk_bytes=args.chunk_bytes,
     )
     start = time.perf_counter()
     try:
@@ -850,7 +711,7 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
             "seed": args.seed,
             "compute_dtype": args.compute_dtype,
             "chunk_bytes": args.chunk_bytes,
-            "kernel": _resolved_kernel(args.kernel),
+            "kernel": kernel,
             "stream": args.stream,
             "crossbars": executor.crossbars,
             "rel_error": _err(result.rel_error),
@@ -905,13 +766,10 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         f", {args.compute_dtype}" if args.compute_dtype != COMPUTE_DTYPES[0] else ""
     )
     stream_note = ", streamed" if args.stream else ""
-    kernel_note = (
-        f", kernel {_resolved_kernel(args.kernel)}" if args.kernel != "auto" else ""
-    )
     print(
         f"Engine run — {args.model} ({args.mode}, "
         f"noise x{args.noise:g}, seed {args.seed}{batch_note}"
-        f"{dtype_note}{stream_note}{kernel_note})"
+        f"{dtype_note}{stream_note})"
     )
     header = f"{'layer':<22} {'kind':<8} {'xbars':>6} {'rel. error':>12}"
     print(header)
@@ -986,17 +844,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=8,
         help="Monte-Carlo trials per grid point (default: 8)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help=(
-            "read-out/im2col kernel tier for every trial, exported to "
-            "pool workers via REPRO_KERNEL (default: auto; tiers are "
-            "bit-identical in float64 so content keys and resumability "
-            "are unaffected)"
-        ),
     )
     parser.add_argument(
         "--workers",
@@ -1146,18 +993,13 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError("--max-retries must be non-negative")
         if args.trial_timeout < 0:
             raise ValueError("--trial-timeout must be non-negative")
+        kernel = default_kernel()  # a bad REPRO_KERNEL fails here, not mid-run
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return 2
-
-    if args.kernel != "auto":
-        # Pool workers inherit the environment, so exporting the tier here
-        # reaches every trial without widening TrialSpec or content keys
-        # (the tier is bit-identical metadata, not a result dimension).
-        os.environ["REPRO_KERNEL"] = args.kernel
 
     store = SweepStore(args.output)
     progress = None if args.json else print
@@ -1195,7 +1037,7 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
             "executed": outcome.executed,
             "failed": outcome.failed,
             "workers": args.workers,
-            "kernel": _resolved_kernel(args.kernel),
+            "kernel": kernel,
             "elapsed_s": outcome.elapsed_s,
             "program_s": outcome.program_s,
             "pool_startup_s": outcome.pool_startup_s,
@@ -1218,510 +1060,6 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _timed_engine_run(
-    network, ctx, x, repeats: int = 5, with_rel_error: bool = False
-) -> dict:
-    """Engine timing (programming and execution separately) plus peak memory.
-
-    With ``with_rel_error`` one additional validated run records the
-    end-to-end relative error against the float reference (kept out of the
-    timed runs — the double-compute would hide the engine timing).
-
-    Weights are programmed **once** (no second construction just for the
-    memory figure, which used to double the ~29 s vgg_d programming cost):
-    the construction and one forward pass run under :mod:`tracemalloc`, so
-    ``peak_mb`` covers the true peak — programming transients included.
-    ``program_s`` is therefore measured under tracing; programming is
-    dominated by large tensor allocations, where the per-allocation tracing
-    overhead is small, and the honest trade is preferred over an
-    incomplete peak.  ``elapsed_s`` is then re-timed best-of-``repeats``
-    with tracing **off**, so the headline forward timing carries no
-    overhead.  All timed runs skip validation (the float double-compute
-    would dominate the engine timing).
-    """
-    import tracemalloc
-
-    from repro.engine import NetworkExecutor
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    executor = NetworkExecutor(network, ctx, mode="analog")
-    program_s = time.perf_counter() - start
-    executor.run(x, validate=False)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        executor.run(x, validate=False)
-        best = min(best, time.perf_counter() - start)
-    timing = {
-        "elapsed_s": best,
-        "program_s": program_s,
-        "peak_mb": peak / 1e6,
-        "programmed_mb": executor.programmed_bytes / 1e6,
-        "crossbars": executor.crossbars,
-    }
-    if with_rel_error:
-        timing["rel_error"] = executor.run(x).rel_error
-    return timing
-
-
-def main_bench(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_bench_parser().parse_args(argv)
-    output = args.output if args.output is not None else _default_bench_output()
-
-    import numpy as np
-
-    from repro.engine import NetworkExecutor
-    from repro.nn import functional as F
-
-    try:
-        estimator_net = _load_model(args.estimator_model)
-        engine_net = _load_model(args.engine_model)
-        branching_net = _load_model(args.branching_model)
-        liveness_net = _load_model(args.liveness_model)
-        stream_net = _load_model(args.stream_model)
-        _load_model(args.sweep_model)  # fail fast before the timed legs
-        deep_net = _load_model(args.deep_model) if args.deep_model else None
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-
-    # 1. analytic estimator over the three paper configurations
-    start = time.perf_counter()
-    estimates = compare_accelerators(estimator_net, pipelined=True)
-    estimator_elapsed = time.perf_counter() - start
-
-    # 2. functional engine: the packed executor on one batch
-    ctx = SimContext()
-    executor = NetworkExecutor(engine_net, ctx, mode="analog")
-    batch = max(args.engine_batch, 1)
-    x = executor.random_batch(batch)
-    engine_timing = _timed_engine_run(engine_net, ctx, x)
-    # one validated run of the actual batch for the accuracy figure
-    result = executor.run(x)
-
-    # 3. im2col kernel micro-benchmark (vgg_d conv1_1 geometry), best of 3
-    xi = np.random.default_rng(stable_seed("bench", "im2col")).normal(
-        size=(3, 224, 224)
-    )
-
-    def best_of(func, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            func(xi, 3, 1, 1)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    loop_elapsed = best_of(F._im2col_loop)
-    vectorized_elapsed = best_of(F.im2col)
-
-    # 4. optional deep-model run (no validation), measured with the same
-    # methodology as the engine timing above
-    deep = None
-    if deep_net is not None:
-        deep = {
-            "model": args.deep_model,
-            "mode": "analog",
-            "validate": False,
-            **_timed_engine_run(deep_net, ctx, None, repeats=1),
-        }
-
-    # 5. Monte-Carlo sweep smoke: the program-once path inline and through
-    # a pre-warmed pool whose startup is reported separately.  The grid
-    # carries enough noisy trials that per-trial compute dominates
-    # bookkeeping.  Pooled vs inline is recorded, not asserted: on a few
-    # cores it weighs process parallelism against BLAS threading.
-    import tempfile
-
-    from repro.sweep import SweepGrid, SweepStore, run_sweep, warm_pool
-
-    grid = SweepGrid(
-        models=(args.sweep_model,),
-        noise_scales=(0.0, 1.0),
-        trials=args.sweep_trials,
-        seed=0,
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        shared = run_sweep(grid, SweepStore(Path(tmp) / "shared.jsonl"), workers=1)
-        pool, pool_startup_s = warm_pool(args.sweep_workers)
-        try:
-            pooled = run_sweep(
-                grid,
-                SweepStore(Path(tmp) / "pooled.jsonl"),
-                workers=args.sweep_workers,
-                pool=pool,
-            )
-        finally:
-            pool.shutdown()
-    sweep = {
-        "model": args.sweep_model,
-        "trials": len(grid),
-        "engine_runs": shared.executed,
-        "workers": args.sweep_workers,
-        # program-once path, inline
-        "shared_serial_s": shared.elapsed_s,
-        "program_s": shared.program_s,
-        # program-once path through the (pre-warmed) pool; startup separate
-        "parallel_s": pooled.elapsed_s,
-        "pool_startup_s": pool_startup_s,
-        "parallel_trials_per_sec": pooled.trials_per_sec,
-        # pool cost/benefit at this core count: pooled vs inline
-        "steady_state_speedup": shared.elapsed_s / pooled.elapsed_s,
-    }
-
-    # 5b. programmed-state cache: one cnn_1-sized state programmed cold,
-    # then served from a fresh cache's disk directory and from the LRU
-    from repro.engine import ProgrammedStateCache
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cold_cache = ProgrammedStateCache(root=tmp)
-        start = time.perf_counter()
-        state, source_cold = cold_cache.get_or_program(engine_net, ctx)
-        cache_program_s = time.perf_counter() - start
-        fresh_cache = ProgrammedStateCache(root=tmp)  # models a new process
-        start = time.perf_counter()
-        _, source_disk = fresh_cache.get_or_program(engine_net, ctx)
-        disk_hit_s = time.perf_counter() - start
-        start = time.perf_counter()
-        _, source_memory = fresh_cache.get_or_program(engine_net, ctx)
-        memory_hit_s = time.perf_counter() - start
-    programming_cache = {
-        "model": args.engine_model,
-        "key": state.key,
-        "state_mb": state.nbytes / 1e6,
-        "sources": [source_cold, source_disk, source_memory],
-        "program_s": cache_program_s,
-        "disk_hit_s": disk_hit_s,
-        "memory_hit_s": memory_hit_s,
-        "disk_speedup": cache_program_s / disk_hit_s,
-    }
-
-    # 6. branching-topology engine smoke: a DAG model (residual add +
-    # projection branch) timed with the same methodology as the engine
-    # timing, plus one validated run for the rel-error figure
-    branching = {
-        "model": args.branching_model,
-        "mode": "analog",
-        **_timed_engine_run(branching_net, ctx, None, repeats=3, with_rel_error=True),
-    }
-
-    # 7. liveness-based activation freeing: peak live activation bytes of
-    # the graph executor with freeing on vs off (same run otherwise)
-    liveness_exec = NetworkExecutor(liveness_net, ctx, mode="ideal")
-    liveness_batch = liveness_exec.random_batch(2)
-    freed = liveness_exec.run(liveness_batch, validate=False, free_activations=True)
-    kept = liveness_exec.run(liveness_batch, validate=False, free_activations=False)
-    liveness = {
-        "model": args.liveness_model,
-        "batch": 2,
-        "freed_peak_mb": freed.peak_activation_bytes / 1e6,
-        "unfreed_peak_mb": kept.peak_activation_bytes / 1e6,
-        "reduction": kept.peak_activation_bytes / freed.peak_activation_bytes,
-    }
-
-    # 7b. fault injection: the same cnn_1-class chip clean, with 0.5% stuck
-    # cells, and with the same stuck cells remapped onto spare rows —
-    # graceful degradation must claw back part of the fault-induced error.
-    # (0.5% keeps the degradation in the regime where healing cells
-    # reliably lowers the error; at a few percent the output is fault-
-    # dominated and the recovery margin is no longer monotone.)
-    from repro.faults import FaultModel
-
-    fault_model = FaultModel(
-        stuck_on_fraction=0.0025, stuck_off_fraction=0.0025, seed=0
-    )
-    fb_clean = NetworkExecutor(engine_net, ctx, mode="analog").run()
-    fb_faulted = NetworkExecutor(
-        engine_net, ctx.with_faults(fault_model), mode="analog"
-    ).run()
-    remap_ctx = SimContext(
-        arch=ArchSpec(spare_rows=16),
-        faults=FaultModel(
-            stuck_on_fraction=0.0025,
-            stuck_off_fraction=0.0025,
-            remap_threshold=0.0,  # same masks (threshold is not in the rng
-            seed=0,  # salt), but every faulty tile engages its spares
-        ),
-    )
-    fb_remapped = NetworkExecutor(engine_net, remap_ctx, mode="analog").run()
-    faults_bench = {
-        "model": args.engine_model,
-        "stuck_fraction": 0.005,
-        "spare_rows": 16,
-        "clean_rel_error": fb_clean.rel_error,
-        "faulted_rel_error": fb_faulted.rel_error,
-        "remapped_rel_error": fb_remapped.rel_error,
-        "stuck_cells": fb_faulted.stuck_cells,
-        "remapped_rows": fb_remapped.remapped_rows,
-        "healed_ratio": (
-            fb_faulted.rel_error / fb_remapped.rel_error
-            if fb_remapped.rel_error
-            else None
-        ),
-    }
-
-    # 8. streamed / float32 / chunk-fused execution.
-    #    (a) dtype: the same deep packed analog forward at float64 vs
-    #    float32 — the gemm and read-out chain drop to single precision
-    #    while digital recombination stays double
-    dtype_runs = {
-        dtype: _timed_engine_run(
-            stream_net, SimContext(compute_dtype=dtype), None, repeats=3
-        )
-        for dtype in COMPUTE_DTYPES
-    }
-    #    (b) chunking: the section-2 cnn_1 batch with a bounded read-out
-    #    working set, against the unchunked packed peak measured above
-    chunk_bytes = 1 << 16
-    chunked = _timed_engine_run(
-        engine_net, SimContext(chunk_bytes=chunk_bytes), x, repeats=3
-    )
-    #    (c) streaming: resident vs streamed subprocess runs against one
-    #    disk-backed programmed state, compared on self-reported peak RSS
-    #    (whole process) and peak wired weight bytes (deterministic)
-    import subprocess
-
-    with tempfile.TemporaryDirectory() as tmp:
-        ProgrammedStateCache(root=tmp).get_or_program(stream_net, SimContext())
-
-        def _stream_leg(stream: bool) -> dict:
-            cmd = [
-                sys.executable,
-                "-m",
-                "repro.sim",
-                "run",
-                "--model",
-                args.stream_model,
-                "--state-cache",
-                tmp,
-                "--no-validate",
-                "--json",
-            ]
-            if stream:
-                cmd.append("--stream")
-            proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            return json.loads(proc.stdout)
-
-        resident_leg = _stream_leg(False)
-        streamed_leg = _stream_leg(True)
-    streaming = {
-        "model": args.stream_model,
-        "dtype": {
-            "float64_s": dtype_runs["float64"]["elapsed_s"],
-            "float32_s": dtype_runs["float32"]["elapsed_s"],
-            "float32_speedup": (
-                dtype_runs["float64"]["elapsed_s"]
-                / dtype_runs["float32"]["elapsed_s"]
-            ),
-        },
-        "chunked": {
-            "model": args.engine_model,
-            "chunk_bytes": chunk_bytes,
-            "peak_mb": chunked["peak_mb"],
-            "unchunked_peak_mb": engine_timing["peak_mb"],
-            "reduction": engine_timing["peak_mb"] / chunked["peak_mb"],
-            "elapsed_s": chunked["elapsed_s"],
-        },
-        "stream": {
-            "resident_peak_rss_mb": resident_leg["peak_rss_mb"],
-            "streamed_peak_rss_mb": streamed_leg["peak_rss_mb"],
-            # peak_rss_mb degrades to null on platforms without procfs or
-            # getrusage — the ratio then degrades with it instead of raising
-            "rss_reduction": (
-                resident_leg["peak_rss_mb"] / streamed_leg["peak_rss_mb"]
-                if resident_leg["peak_rss_mb"] and streamed_leg["peak_rss_mb"]
-                else None
-            ),
-            "resident_peak_wired_mb": resident_leg["peak_wired_mb"],
-            "streamed_peak_wired_mb": streamed_leg["peak_wired_mb"],
-            "wired_reduction": (
-                resident_leg["peak_wired_mb"] / streamed_leg["peak_wired_mb"]
-            ),
-            "resident_run_s": resident_leg["run_s"],
-            "streamed_run_s": streamed_leg["run_s"],
-        },
-    }
-
-    # 9. kernel dispatch: the fused time-domain read-out chain timed per
-    # available tier on one resnet_18-class charge block (3 input slices x
-    # 2 weight slices x 3136 positions x 64 columns, the conv2_x working
-    # set), every tier fed identical inputs through the public dispatch
-    # entry point.  Tiers are bit-identical in float64 so the fastest
-    # result is also the reference result.
-    from repro.circuits.timing import TimeDomainChainSpec
-    from repro.kernels import dispatch as kernel_dispatch
-
-    kscalars = TimeDomainChainSpec.from_context(ctx).scalars()
-    krng = np.random.default_rng(stable_seed("bench", "kernels"))
-    kcharges = krng.random((3, 2, 1, 3136, 64)) * 1e-12
-    kdelays = krng.random((3, 1, 1, 3136, 1)) * 1e-9
-    kshifts = np.asarray([16.0, 1.0])
-    krec = np.empty((1, 3136, 64))
-    kwork = np.empty_like(kcharges)
-
-    def _time_tier(tier: str, repeats: int = 3) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            np.copyto(kwork, kcharges)
-            start = time.perf_counter()
-            kernel_dispatch.readout_fused(
-                kwork,
-                kdelays,
-                kscalars,
-                out=kwork,
-                saturation=1.2,
-                shifts=kshifts,
-                recombine_out=krec,
-                kernel=tier,
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    tier_times = {tier: _time_tier(tier) for tier in kernel_dispatch.available()}
-    kernels_bench = {
-        "tiers": list(kernel_dispatch.available()),
-        "default": kernel_dispatch.default_kernel(),
-        "unavailable": kernel_dispatch.unavailable_reasons(),
-        "cores": os.cpu_count() or 1,
-        "readout_elements": int(kcharges.size),
-        "readout_s": tier_times,
-        "readout_gelems_per_sec": {
-            tier: kcharges.size / elapsed / 1e9
-            for tier, elapsed in tier_times.items()
-        },
-        # headline: compiled fused chain vs the numpy reference chain
-        "fused_speedup": (
-            tier_times["numpy"] / tier_times["c"] if "c" in tier_times else None
-        ),
-    }
-
-    doc = {
-        "estimator": {
-            "model": args.estimator_model,
-            "elapsed_s": estimator_elapsed,
-            "accelerators": [
-                {
-                    "name": est.accelerator,
-                    "tops_per_watt": est.tops_per_watt,
-                    "gops": est.gops,
-                    "pipelined_gops": est.pipelined_gops,
-                }
-                for est in estimates
-            ],
-        },
-        "engine": {
-            "model": args.engine_model,
-            "mode": "analog",
-            "batch": batch,
-            "rel_error": result.rel_error,
-            **engine_timing,
-        },
-        "im2col": {
-            "loop_s": loop_elapsed,
-            "vectorized_s": vectorized_elapsed,
-            "speedup": loop_elapsed / vectorized_elapsed,
-        },
-        "sweep": sweep,
-        "programming_cache": programming_cache,
-        "branching": branching,
-        "liveness": liveness,
-        "faults": faults_bench,
-        "streaming": streaming,
-        "kernels": kernels_bench,
-        "deep_engine": deep,
-    }
-    with open(output, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {output}")
-    print(
-        f"  estimator ({args.estimator_model}): {estimator_elapsed:.2f}s, "
-        f"TIMELY {estimates[0].tops_per_watt:.1f} TOPS/W"
-    )
-    print(
-        f"  engine ({args.engine_model}, batch {batch}): "
-        f"{engine_timing['elapsed_s']:.3f}s forward "
-        f"({engine_timing['peak_mb']:.1f} MB peak), rel error {result.rel_error:.2e}"
-    )
-    print(f"  im2col: {doc['im2col']['speedup']:.0f}x vs loop")
-    print(
-        f"  branching ({branching['model']}): rel error "
-        f"{branching['rel_error']:.2e}, forward {branching['elapsed_s']:.3f}s "
-        f"(+{branching['program_s']:.2f}s programming, "
-        f"{branching['crossbars']} crossbars)"
-    )
-    print(
-        f"  liveness ({liveness['model']}, batch {liveness['batch']}): "
-        f"peak {liveness['freed_peak_mb']:.1f} MB freed vs "
-        f"{liveness['unfreed_peak_mb']:.1f} MB kept "
-        f"({liveness['reduction']:.1f}x reduction)"
-    )
-    print(
-        f"  faults ({faults_bench['model']}, "
-        f"{faults_bench['stuck_fraction']:.0%} stuck): rel error "
-        f"{faults_bench['clean_rel_error']:.2e} clean -> "
-        f"{faults_bench['faulted_rel_error']:.2e} faulted -> "
-        f"{faults_bench['remapped_rel_error']:.2e} with "
-        f"{faults_bench['spare_rows']} spare rows "
-        f"({faults_bench['stuck_cells']} stuck cells, "
-        f"{faults_bench['remapped_rows']} rows remapped)"
-    )
-    print(
-        f"  sweep ({sweep['model']}, {sweep['trials']} trials): "
-        f"{sweep['parallel_trials_per_sec']:.1f} trials/s with "
-        f"{sweep['workers']} workers, {sweep['steady_state_speedup']:.2f}x vs "
-        f"inline (+{sweep['pool_startup_s']:.2f}s pool startup, reported apart)"
-    )
-    print(
-        f"  programming cache ({programming_cache['model']}): "
-        f"{programming_cache['program_s'] * 1e3:.1f} ms cold vs "
-        f"{programming_cache['disk_hit_s'] * 1e3:.1f} ms disk / "
-        f"{programming_cache['memory_hit_s'] * 1e3:.2f} ms memory hit "
-        f"({programming_cache['state_mb']:.1f} MB state)"
-    )
-    print(
-        f"  dtype ({streaming['model']}): float64 "
-        f"{streaming['dtype']['float64_s']:.3f}s vs float32 "
-        f"{streaming['dtype']['float32_s']:.3f}s "
-        f"({streaming['dtype']['float32_speedup']:.2f}x)"
-    )
-    print(
-        f"  chunked read-out ({streaming['chunked']['model']}, "
-        f"{chunk_bytes >> 10} KB chunks): peak "
-        f"{streaming['chunked']['peak_mb']:.1f} MB vs "
-        f"{streaming['chunked']['unchunked_peak_mb']:.1f} MB unchunked "
-        f"({streaming['chunked']['reduction']:.2f}x)"
-    )
-    print(
-        f"  streaming ({streaming['model']}): wired "
-        f"{streaming['stream']['streamed_peak_wired_mb']:.1f} MB streamed vs "
-        f"{streaming['stream']['resident_peak_wired_mb']:.1f} MB resident "
-        f"({streaming['stream']['wired_reduction']:.1f}x), RSS "
-        f"{streaming['stream']['streamed_peak_rss_mb']:.0f} MB vs "
-        f"{streaming['stream']['resident_peak_rss_mb']:.0f} MB"
-    )
-    fused_note = (
-        f"{kernels_bench['fused_speedup']:.1f}x fused c vs numpy"
-        if kernels_bench["fused_speedup"] is not None
-        else "compiled tier unavailable"
-    )
-    print(
-        f"  kernels (tiers: {', '.join(kernels_bench['tiers'])}; default "
-        f"{kernels_bench['default']}): {fused_note} on "
-        f"{kernels_bench['cores']} core(s)"
-    )
-    if deep is not None:
-        print(
-            f"  deep engine ({deep['model']}): {deep['elapsed_s']:.1f}s packed analog "
-            f"(+{deep['program_s']:.1f}s programming), "
-            f"{deep['peak_mb'] / 1e3:.2f} GB peak, {deep['crossbars']} crossbars"
-        )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
@@ -1735,6 +1073,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return main_program(rest)
     if command == "sweep":
         return main_sweep(rest)
-    if command == "bench":
-        return main_bench(rest)
     return main_estimate(rest)

@@ -141,7 +141,8 @@ def warm_pool(
     Forces all ``workers`` processes to spawn and run the
     :func:`_preload_states` initializer before returning, so a subsequent
     :func:`run_sweep` with ``pool=`` measures steady-state throughput —
-    the bench reports the returned startup separately as ``pool_startup_s``.
+    the startup is returned apart (a pool :func:`run_sweep` creates itself
+    reports it as ``pool_startup_s``).
     The caller owns the pool (``shutdown()`` when done).
     """
     start = time.perf_counter()

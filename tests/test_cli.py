@@ -1,5 +1,5 @@
 """CLI tests: subcommand dispatch, argument parsing, JSON schemas and exit
-codes of ``python -m repro.sim`` (estimate / run / bench)."""
+codes of ``python -m repro.sim`` (estimate / run / program / sweep)."""
 
 import json
 
@@ -162,24 +162,23 @@ def test_run_non_integer_chunk_bytes_is_a_usage_error(capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
-def test_run_kernel_and_chunking_reported_in_json(capsys):
+def test_run_kernel_and_chunking_reported_in_json(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "numpy")
     assert cli.main(
-        ["run", "--model", "tiny_cnn", "--json", "--kernel", "numpy",
-         "--chunk-bytes", "65536"]
+        ["run", "--model", "tiny_cnn", "--json", "--chunk-bytes", "65536"]
     ) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kernel"] == "numpy"
     assert doc["chunk_bytes"] == 65536
 
 
-def test_run_kernel_tiers_agree_bitwise(capsys):
+def test_run_kernel_tiers_agree_bitwise(capsys, monkeypatch):
     from repro.kernels.dispatch import available
 
     docs = {}
     for tier in available():
-        assert cli.main(
-            ["run", "--model", "tiny_cnn", "--json", "--kernel", tier]
-        ) == 0
+        monkeypatch.setenv("REPRO_KERNEL", tier)
+        assert cli.main(["run", "--model", "tiny_cnn", "--json"]) == 0
         docs[tier] = json.loads(capsys.readouterr().out)
     reference = docs["numpy"]
     for tier, doc in docs.items():
@@ -187,10 +186,14 @@ def test_run_kernel_tiers_agree_bitwise(capsys):
         assert doc["rel_error"] == reference["rel_error"]
 
 
-def test_run_rejects_unknown_kernel(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--model", "tiny_cnn", "--kernel", "fortran"])
-    assert "--kernel" in capsys.readouterr().err
+def test_run_rejects_unknown_kernel(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "fortran")
+    assert cli.main(["run", "--model", "tiny_cnn"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown kernel tier" in err and "fortran" in err
+    assert cli.main(_sweep_args(tmp_path)) == 2
+    assert "unknown kernel tier" in capsys.readouterr().err
+    assert not (tmp_path / "rows.jsonl").exists()
 
 
 def test_run_table_output(capsys):
@@ -355,9 +358,11 @@ def test_run_stream_streams_even_when_it_programs_cold(tmp_path, capsys):
     assert doc["stream"] is True and doc["peak_wired_mb"] > 0
 
 
-def test_run_stream_without_state_cache_exits_2(capsys):
-    assert cli.main(["run", "--model", "tiny_cnn", "--stream"]) == 2
-    assert "--state-cache" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--stream", "--mmap"])
+def test_run_stream_without_state_cache_exits_2(capsys, flag):
+    assert cli.main(["run", "--model", "tiny_cnn", flag]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "--state-cache" in err
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +411,7 @@ def test_sweep_json_schema_and_monotone_errors(tmp_path, capsys):
 
 
 def test_sweep_resume_computes_zero(tmp_path, capsys):
-    assert cli.main(_sweep_args(tmp_path, "--json")) == 0
+    assert cli.main(_sweep_args(tmp_path, "--workers", "2", "--json")) == 0
     capsys.readouterr()
     assert cli.main(_sweep_args(tmp_path, "--resume", "--json")) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -471,88 +476,6 @@ def test_program_compute_dtype_gets_its_own_key(tmp_path, capsys):
     assert f32["source"] == "programmed"  # no aliasing with the f64 entry
     assert f32["key"] != f64["key"]
     assert f32["state_mb"] < f64["state_mb"]  # half-width payload
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def test_bench_writes_artifact(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_engine.json"
-    assert cli.main(
-        [
-            "bench",
-            "--output",
-            str(out_path),
-            "--estimator-model",
-            "cnn_1",
-            "--engine-model",
-            "tiny_cnn",
-            "--sweep-model",
-            "tiny_cnn",
-            "--sweep-trials",
-            "2",
-            "--stream-model",
-            "tiny_cnn",
-        ]
-    ) == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["estimator"]["model"] == "cnn_1"
-    assert len(doc["estimator"]["accelerators"]) == 3
-    assert doc["estimator"]["accelerators"][0]["tops_per_watt"] > 0
-    assert doc["engine"]["model"] == "tiny_cnn"
-    assert doc["engine"]["elapsed_s"] > 0
-    assert doc["engine"]["rel_error"] < 0.1
-    # the packed executor is timed with peak- and resident-memory figures
-    assert doc["engine"]["peak_mb"] > 0
-    assert doc["engine"]["programmed_mb"] > 0
-    assert doc["engine"]["crossbars"] > 0
-    assert "backends" not in doc["engine"] and "speedup" not in doc["engine"]
-    assert doc["im2col"]["speedup"] > 1.0
-    # sweep smoke: the program-once path inline and on a warm pool
-    assert doc["sweep"]["model"] == "tiny_cnn"
-    assert doc["sweep"]["trials"] == 4
-    assert doc["sweep"]["engine_runs"] == 3  # noiseless pair shares one run
-    assert doc["sweep"]["workers"] == 2
-    assert doc["sweep"]["shared_serial_s"] > 0 and doc["sweep"]["parallel_s"] > 0
-    assert doc["sweep"]["program_s"] > 0
-    assert doc["sweep"]["pool_startup_s"] > 0  # reported apart from the trials
-    assert doc["sweep"]["steady_state_speedup"] > 0
-    assert "serial_s" not in doc["sweep"] and "parallel_speedup" not in doc["sweep"]
-    assert "threaded" not in doc["kernels"]
-    # program-once cache smoke: cold programming, then disk + memory hits
-    cache = doc["programming_cache"]
-    assert cache["model"] == "tiny_cnn"
-    assert cache["sources"] == ["programmed", "disk", "memory"]
-    assert cache["program_s"] > cache["memory_hit_s"]
-    assert cache["state_mb"] > 0 and len(cache["key"]) == 16
-    # streaming section: dtype timing, chunked peak, subprocess memory legs
-    streaming = doc["streaming"]
-    assert streaming["model"] == "tiny_cnn"
-    assert streaming["dtype"]["float64_s"] > 0
-    assert streaming["dtype"]["float32_s"] > 0
-    assert streaming["dtype"]["float32_speedup"] > 0
-    assert streaming["chunked"]["peak_mb"] > 0
-    assert streaming["chunked"]["unchunked_peak_mb"] > 0
-    stream = streaming["stream"]
-    assert stream["streamed_peak_wired_mb"] < stream["resident_peak_wired_mb"]
-    assert stream["resident_peak_rss_mb"] > 0
-    assert stream["streamed_peak_rss_mb"] > 0
-    assert doc["deep_engine"] is None  # no --deep-model given
-
-
-def test_bench_default_output_is_repo_root():
-    path = cli._default_bench_output()
-    assert path.endswith("BENCH_engine.json")
-    import pathlib
-
-    parent = pathlib.Path(path).parent
-    assert (parent / "pyproject.toml").is_file()
-
-
-def test_bench_unknown_model_exits_2(tmp_path, capsys):
-    assert cli.main(["bench", "--output", str(tmp_path / "b.json"), "--engine-model", "x"]) == 2
-    assert "unknown model" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

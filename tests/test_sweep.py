@@ -564,7 +564,9 @@ def test_pooled_sweep_survives_a_worker_crash(tmp_path, monkeypatch):
     )
     assert marker.exists()  # the injection actually fired
     assert outcome.failed == 0
-    assert crashed.lines() == clean.lines()
+    assert crashed.path.read_bytes() == clean.path.read_bytes()
+    resumed = run_sweep(grid, crashed, workers=2, resume=True)
+    assert resumed.computed == 0 and resumed.skipped == len(grid)
 
 
 def test_sweep_rejects_bad_retry_configuration(tmp_path):
