@@ -108,6 +108,7 @@ class TimeDomainChainSpec:
             full_scale_s=dtc.full_scale_s,
             lsb_s=self.lsb_s,
             dot_max=self.dot_max,
+            level_coeff=self.v_dd * dtc.t_del_s * cell.g_step_s,
         )
 
     @classmethod

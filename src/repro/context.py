@@ -154,14 +154,23 @@ class ArchSpec:
 #: Names accepted by :meth:`SimContext.accelerator_spec` / the CLI.
 ACCELERATOR_STYLES = ("timely", "prime", "isaac")
 
-#: Compute dtypes of the packed execution engine: ``"float64"`` (default,
-#: bit-identical to the historical behaviour) or ``"float32"`` — half the
-#: conductance-tensor memory and single-precision BLAS on the hot matmul +
-#: read-out chain, at a documented looser accuracy bar (<= 1e-4 relative
-#: against the float64 path on the analog chains; ideal-mode integer
-#: matmuls that would lose exactness in float32 fall back to float64 per
-#: layer, so requesting float32 never breaks exact read-out).
+#: Compute dtypes of the packed execution engine: ``"float64"`` (default)
+#: or ``"float32"`` — half the conductance-tensor memory and, on the
+#: conductance read-out path of noisy or faulty layers, single-precision
+#: BLAS on the hot matmul + read-out chain at a documented looser accuracy
+#: bar (<= 1e-4 relative against float64).  Noiseless analog layers read
+#: out through exact integer levels in either dtype (bit-identical
+#: results); ideal-mode integer matmuls that would lose exactness in
+#: float32 fall back to float64 per layer, so requesting float32 never
+#: breaks exact read-out.
 COMPUTE_DTYPES = ("float64", "float32")
+
+#: Version of the engine's result arithmetic, bumped whenever a change can
+#: move any output bit of an unchanged configuration.  Sweep trial keys and
+#: rows carry it, so a resumed store recomputes rows produced under older
+#: rounding instead of mixing them in.  Version 2: noiseless analog layers
+#: read out through exact integer level products (``repro.engine.packed``).
+NUMERICS_VERSION = 2
 
 
 def accelerator_factories() -> Dict[str, Callable[[ArchSpec], "AcceleratorSpec"]]:

@@ -101,7 +101,10 @@ class LayerTrace:
     ``rel_error`` is NaN when the run skipped validation.  ``stuck_cells``
     and ``remapped_rows`` count the layer's surviving stuck cells and the
     rows remapped onto spares (see :mod:`repro.faults`); both are zero when
-    no fault model is active.
+    no fault model is active.  ``readout`` and ``gemm_dtype`` name a
+    compute layer's read-out path (``"levels"``, ``"conductances"`` or
+    ``"ideal"``, see :mod:`repro.engine.packed`) and the dtype its GEMMs
+    ran in; both are ``None`` for auxiliary layers.
     """
 
     name: str
@@ -110,6 +113,8 @@ class LayerTrace:
     rel_error: float
     stuck_cells: int = 0
     remapped_rows: int = 0
+    readout: Optional[str] = None
+    gemm_dtype: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -331,6 +336,14 @@ class _MappedComputeLayer:
     def programmed_bytes(self) -> int:
         return self._packed.packed_bytes
 
+    @property
+    def readout_path(self) -> str:
+        return self._packed.readout_path
+
+    @property
+    def gemm_dtype(self) -> str:
+        return str(self._packed.gemm_dtype)
+
     def _matmul(self, codes: np.ndarray) -> np.ndarray:
         # codes were produced by quantize_unsigned_batch: already in range
         return self._packed.matmul(codes, validate=False)
@@ -358,15 +371,18 @@ class _MappedComputeLayer:
             if self.bias is not None:
                 np.add(out, self.bias, out=out)
             return out
-        # conv: one im2col over the batch; the channel-major patch layout
-        # keeps each group's rows contiguous, so the grouped matmul slices
-        # the same columns the per-group im2col used to produce.  Routed
-        # through the kernel dispatch layer (compiled gather when
-        # available, the historical numpy strided copy otherwise — same
-        # bytes and layout either way).
-        cols, out_h, out_w = im2col_pack(values, self.kernel, self.stride, self.pad)
-        positions = cols.shape[1]
-        out = self._matmul(cols.reshape(n * positions, -1))
+        # conv: one im2col over the batch, gathered straight into the
+        # (n * positions, C*K*K) GEMM operand in the layer's code dtype; the
+        # channel-major patch layout keeps each group's rows contiguous, so
+        # the grouped matmul slices the same columns the per-group im2col
+        # used to produce.  Routed through the kernel dispatch layer
+        # (compiled gather when available, the numpy strided copy
+        # otherwise — same bytes and layout either way).
+        cols, out_h, out_w = im2col_pack(
+            values, self.kernel, self.stride, self.pad, dtype=self._packed.code_dtype
+        )
+        positions = out_h * out_w
+        out = self._matmul(cols)
         out = out.reshape(n, positions, self.out_channels)
         np.multiply(out, self.w_scales[None, None, :] * in_scales[:, None, None], out=out)
         if self.bias is not None:
@@ -584,10 +600,12 @@ class NetworkExecutor:
         for inst in order:
             operands = [live[src] for src in inst.inputs]
             layer_stuck = layer_remapped = 0
+            readout = gemm_dtype = None
             if inst.name in self._positions:
                 mapped = self._wire_layer(inst.name)
                 out = mapped.forward(operands[0], self.ctx.arch.input_bits)
                 crossbars = mapped.crossbars
+                readout, gemm_dtype = mapped.readout_path, mapped.gemm_dtype
                 report = mapped.fault_report
                 if report is not None:
                     layer_stuck = report.stuck_cells
@@ -617,6 +635,8 @@ class NetworkExecutor:
                     ),
                     stuck_cells=layer_stuck,
                     remapped_rows=layer_remapped,
+                    readout=readout,
+                    gemm_dtype=gemm_dtype,
                 )
             )
             live[inst.name] = out

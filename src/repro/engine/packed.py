@@ -26,6 +26,24 @@ executes the layer as a whole instead of as a grid of crossbar objects:
   position and output column at once.  The sub-ranging MSB/LSB pair of
   Section IV-C is simply the 2-slice case of this recombination.
 
+An analog layer reads out along one of two paths, chosen at wiring:
+
+* **exact levels** — whenever the cells sit exactly on the level grid (no
+  conductance variation, no DTC jitter, no stuck or drift faults; read-out
+  saturation is fine), each slice's integer cell levels are derived once
+  (:func:`repro.kernels.dispatch.cell_levels`) and every (row tile, slice)
+  GEMM multiplies integer codes by integer levels.  Every partial sum is
+  an integer no larger than the chain's ``dot_max``, so the GEMM runs in
+  float32 when ``dot_max`` is below float32's exactness bound (float64
+  otherwise) and is exact whatever BLAS's summation order or thread
+  count.  The chain then starts from the net charge ``v_dd * t_del *
+  g_step * P``: on an unperturbed grid the G_min reference column cancels
+  exactly, so there is no delay sum to subtract;
+* **conductances** — with programming variation, DTC jitter or cell
+  faults, the GEMM multiplies scaled delays by the (perturbed)
+  conductances in the compute dtype and the reference column is
+  subtracted through the per-tile delay sums, as the circuit does.
+
 Noiseless, the packed path matches a per-crossbar reference built from
 :class:`repro.circuits.reram.ReRAMCrossbar` and
 :class:`repro.circuits.timing.TimeDomainDotProduct` to float tolerance
@@ -47,7 +65,7 @@ import numpy as np
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import ArchSpec, SimContext
 from repro.engine.errors import EngineError
-from repro.kernels.dispatch import readout_fused
+from repro.kernels.dispatch import cell_levels, readout_fused
 
 #: engine read-out modes: ``"analog"`` runs the two-phase time-domain
 #: chains, ``"ideal"`` reads the same programmed weights exactly
@@ -70,6 +88,34 @@ def _worst_product_sum(arch: ArchSpec, rows_needed: int) -> float:
     return (
         float(2 ** arch.input_bits - 1) * float(2 ** arch.weight_bits) * rows_needed
     )
+
+
+def _level_gemm_dtype(dot_max: float) -> Optional[np.dtype]:
+    """Narrowest dtype whose GEMM of codes against cell levels is exact.
+
+    Every partial sum of a tile's integer product is an integer no larger
+    than ``dot_max``, so any summation order stays exact below the dtype's
+    bound.  ``None`` if not even float64 is exact.
+    """
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        if dot_max < _EXACT_FLOAT_BOUNDS[dtype]:
+            return dtype
+    return None
+
+
+def _on_level_grid(ctx: SimContext) -> bool:
+    """Whether ``ctx`` leaves every programmed cell exactly on its level.
+
+    Programming variation and stuck/drift faults move conductances off the
+    grid and DTC jitter makes delays non-integer; read-out saturation only
+    clips the chain and keeps the products exact.
+    """
+    noise = ctx.noise
+    if noise is not None and (
+        noise.reram_conductance_sigma > 0 or noise.dtc_sigma > 0
+    ):
+        return False
+    return ctx.faults is None or not ctx.faults.cell_active
 
 
 def _flat_memory_view(a: np.ndarray) -> Optional[np.ndarray]:
@@ -107,9 +153,11 @@ def pack_weights(
 
     ``compute_dtype`` (:data:`repro.context.COMPUTE_DTYPES`) selects the
     storage/arithmetic precision of the packed tensors.  ``"float32"``
-    halves the payload and switches the hot matmuls to single-precision
-    BLAS; in ``"ideal"`` mode the request is honoured only when the
-    layer's worst-case product sum stays below the dtype's exactness
+    halves the payload and switches the conductance-path matmuls to
+    single-precision BLAS (the exact-level path derives its own levels
+    whatever the payload dtype); in ``"ideal"`` mode the request is
+    honoured only when the layer's worst-case product sum stays below the
+    dtype's exactness
     bound (:data:`_EXACT_FLOAT_BOUNDS`) — otherwise the layer silently
     falls back to float64 storage so exact integer read-out is never
     broken.  The chosen dtype is observable on the returned tensors (and
@@ -366,6 +414,27 @@ class PackedMatmul:
         # a float32 request that could not stay exact)
         bound = _EXACT_FLOAT_BOUNDS.get(self.compute_dtype, _EXACT_FLOAT_BOUND)
         self._ideal_exact = _worst_product_sum(arch, self.rows_needed) < bound
+        #: largest per-group sum of input codes (the offset correction)
+        self._code_sum_max = float(2 ** arch.input_bits - 1) * self.rows_needed
+
+        #: per-slice integer cell levels when this analog layer reads out
+        #: through the exact-level path, else ``None`` (the conductance
+        #: path).  Derived here, at wiring, in one pass per slice; a payload
+        #: with any off-grid cell keeps the conductance path.
+        self._levels: Optional[List[np.ndarray]] = None
+        level_dtype = _level_gemm_dtype(self.spec.dot_max)
+        if mode == "analog" and level_dtype is not None and _on_level_grid(ctx):
+            cell = arch.cell_spec()
+            levels = []
+            for conductances_s in self._conductances:
+                derived = cell_levels(
+                    conductances_s, cell.g_min_s, cell.g_step_s, cell.levels - 1, level_dtype
+                )
+                if derived is None:
+                    break
+                levels.append(derived)
+            else:
+                self._levels = levels
 
     @property
     def crossbars(self) -> int:
@@ -374,22 +443,56 @@ class PackedMatmul:
 
     @property
     def packed_bytes(self) -> int:
-        """Bytes held by the packed weight state (conductances or levels)."""
+        """Bytes of the programmed payload (conductances, or the encoded
+        levels of ideal mode).
+
+        The cell levels the exact-level path derives at wiring (half the
+        float64 payload, as float32) are not part of the payload and are
+        not counted.
+        """
         if self._encoded is not None:
             return self._encoded.nbytes
         return sum(g.nbytes for g in self._conductances)
+
+    @property
+    def readout_path(self) -> str:
+        """``"levels"`` or ``"conductances"`` (analog), or ``"ideal"``."""
+        if self.mode == "ideal":
+            return "ideal"
+        return "levels" if self._levels is not None else "conductances"
+
+    @property
+    def gemm_dtype(self) -> np.dtype:
+        """The dtype the layer's GEMMs run in."""
+        if self._levels is not None:
+            return self._levels[0].dtype
+        if self.mode == "ideal" and not self._ideal_exact:
+            return np.dtype(np.int64)
+        return self.compute_dtype
+
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The dtype :meth:`matmul` takes its codes in without a cast.
+
+        The GEMM dtype on the exact-level and ideal paths; float64 on the
+        conductance path, whose DTC turns codes into float64 delays.
+        """
+        if self.readout_path == "conductances" or self.gemm_dtype == np.int64:
+            return np.dtype(np.float64)
+        return self.gemm_dtype
 
     def matmul(self, codes: np.ndarray, validate: bool = True) -> np.ndarray:
         """Push input codes through the packed slices and recombine.
 
         ``codes`` is a ``(positions, n_groups * rows_needed)`` matrix of
-        unsigned input codes, the groups' code blocks concatenated along
+        unsigned integer input codes (any integer or float dtype; floats
+        must hold integers), the groups' code blocks concatenated along
         the row axis (the natural im2col channel-major layout).  Returns
         the signed dot products as ``(positions, out_cols)``.
-        ``validate=False`` skips the input range scan for callers that
-        already quantised the codes themselves.
+        ``validate=False`` skips the input range and integrality scans
+        for callers that already quantised the codes themselves.
         """
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = np.asarray(codes)
         expected_rows = self.n_groups * self.rows_needed
         if codes.ndim != 2 or codes.shape[1] != expected_rows:
             raise EngineError(
@@ -403,106 +506,132 @@ class PackedMatmul:
                     f"input codes must lie in [0, {levels - 1}] for "
                     f"{self.ctx.arch.input_bits}-bit inputs"
                 )
+            if codes.dtype.kind == "f" and not np.array_equal(codes, np.rint(codes)):
+                raise EngineError("input codes must be integers")
+        codes = codes.astype(self.code_dtype, copy=False)
         positions = codes.shape[0]
         # (G, positions, R): one leading matmul axis per weight-sharing group
         grouped = codes.reshape(positions, self.n_groups, self.rows_needed)
-        grouped = np.ascontiguousarray(grouped.transpose(1, 0, 2))
+        grouped = grouped.transpose(1, 0, 2)
 
-        if self.mode == "ideal":
-            if self._ideal_exact:
-                # float32 payloads are exact here by construction (the
-                # pack-time bound check), so the upcast back to float64
-                # for the digital correction is lossless
-                products = (grouped.astype(self._encoded.dtype) @ self._encoded).astype(
-                    np.float64, copy=False
-                )
-            else:  # fall back to (slow) integer matmul beyond the float bound
-                products = (
-                    grouped @ self._encoded.astype(np.int64, order="K")
-                ).astype(np.float64)
+        if self._levels is not None:
+            # exact whatever the operand layout: no contiguous copy needed
+            products = self._read_out(grouped, self._levels, positions)
         else:
-            products = self._analog_products(grouped, positions)
+            grouped = np.ascontiguousarray(grouped)
+            if self.mode == "ideal":
+                if self._ideal_exact:
+                    # float32 payloads are exact here by construction (the
+                    # pack-time bound check), so the upcast back to float64
+                    # for the digital correction is lossless
+                    products = (
+                        grouped.astype(self._encoded.dtype, copy=False) @ self._encoded
+                    ).astype(np.float64, copy=False)
+                else:  # fall back to (slow) integer matmul beyond the float bound
+                    products = (
+                        grouped.astype(np.int64) @ self._encoded.astype(np.int64, order="K")
+                    ).astype(np.float64)
+            else:
+                products = self._analog_products(grouped, positions)
 
         # Digital offset removal: every programmed weight carries ``+offset``,
         # so each group's columns over-count by ``offset * sum(group codes)``.
-        correction = self.offset * grouped.sum(axis=2, dtype=np.int64)  # (G, P)
+        # The code sums are exact integers in the codes' own float dtype
+        # while the largest possible sum fits its mantissa.
+        exact = self._code_sum_max < _EXACT_FLOAT_BOUNDS[codes.dtype]
+        sums = grouped.sum(axis=2, dtype=codes.dtype if exact else np.float64)
+        correction = np.multiply(sums, self.offset, dtype=np.float64)  # (G, P)
         np.subtract(products, correction[:, :, None], out=products)
         # concatenate the groups' output columns (group-major channel order)
         return np.ascontiguousarray(products.transpose(1, 0, 2)).reshape(
             positions, self.out_cols
         )
 
-    def _position_chunk(self, positions: int) -> int:
+    def _position_chunk(self, positions: int, itemsize: int) -> int:
         """Positions per charge chunk under ``ctx.chunk_bytes`` (all if unset)."""
         budget = self.ctx.chunk_bytes
         if budget is None:
             return positions
         per_position = (
-            self.row_tiles
-            * self.n_slices
-            * self.n_groups
-            * self.group_cols
-            * self.compute_dtype.itemsize
+            self.row_tiles * self.n_slices * self.n_groups * self.group_cols * itemsize
         )
         return max(1, min(positions, budget // max(1, per_position)))
 
-    def _run_chunk(
+    def _read_out(
         self,
-        delays: np.ndarray,
-        out: np.ndarray,
-        p0: int,
-        n: int,
-        charges: np.ndarray,
-        delay_sums: np.ndarray,
-    ) -> None:
-        """Charge, read out and recombine positions ``[p0, p0 + n)``.
+        operand: np.ndarray,
+        tensors: List[np.ndarray],
+        positions: int,
+        delay_sums: bool = False,
+    ) -> np.ndarray:
+        """GEMMs, chain and recombination over the position axis in chunks.
 
-        ``charges``/``delay_sums`` are the walk's reusable chunk buffers;
-        the chunk's slice of ``out`` is the only output written.
-        """
-        spec = self.spec
-        block = charges[:, :, :, :n]
-        sums = delay_sums[:, :, :, :n]
-        for rt, (r0, height) in enumerate(self._row_spans):
-            d = delays[:, p0 : p0 + n, r0 : r0 + height]
-            sums[rt, 0, :, :, 0] = d.sum(axis=2)
-            for s, conductances in enumerate(self._conductances):
-                np.matmul(d, conductances[:, r0 : r0 + height, :], out=block[rt, s])
-        block *= self.compute_dtype.type(spec.v_dd)
-        # the whole per-chunk chain — reference-column subtract, clips,
-        # phase-I/II conversion, optional early-TDC saturation and the
-        # slice-cascade recombination (sum over row tiles t, power-of-two
-        # weights over s) — in one dispatched kernel call, fully in place
-        # on the chunk buffer, accumulated straight into the output slice
-        readout_fused(
-            block,
-            sums,
-            spec.scalars(),
-            out=block,
-            saturation=self._saturation,
-            shifts=self.shifts,
-            recombine_out=out[:, p0 : p0 + n],
-        )
-
-    def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:
-        """Time-domain estimate of the grouped integer products.
-
-        One ``codes @ G`` matmul per (row tile, slice) fills a charge tensor
-        of shape ``(row_tiles, n_slices, groups, chunk, group_cols)``; the
-        elementwise chain and the digital recombination — the sum over row
-        tiles and the power-of-two slice cascade — then run as one fused
+        One ``operand @ tensor`` GEMM per (row tile, slice) fills a charge
+        block of shape ``(row_tiles, n_slices, groups, chunk, group_cols)``
+        in the tensors' dtype; the elementwise chain and the digital
+        recombination — the sum over row tiles and the power-of-two slice
+        cascade — then run as one fused
         :func:`repro.kernels.dispatch.readout_fused` pass per chunk, fully
         in place on the chunk buffer (zero chain temporaries), accumulated
-        straight into the ``(groups, positions, group_cols)`` output.
+        straight into the float64 ``(groups, positions, group_cols)``
+        output.  ``operand``/``tensors`` are codes and cell levels on the
+        exact-level path, and delays and conductances with
+        ``delay_sums=True``, which adds the per-tile delay sums the
+        reference-column subtraction needs and the ``v_dd`` charge scale.
 
-        With ``ctx.chunk_bytes`` unset the chunk is the whole batch (the
-        historical single-pass behaviour, bit-identical to prior
-        releases).  When set, the position axis is walked in bounded
-        chunks reusing one charge buffer, so a layer's peak transient
-        memory is one chunk instead of ``row_tiles x n_slices`` copies of
-        the entire im2col output.  The full delay tensor (and any DTC
-        jitter draw on it) is computed *before* the chunk walk, so noisy
-        results are independent of the chunking.
+        With ``ctx.chunk_bytes`` unset the chunk is the whole batch.  When
+        set, the position axis is walked in bounded chunks reusing one
+        charge buffer, so a layer's peak transient memory is one chunk
+        instead of ``row_tiles x n_slices`` copies of the entire im2col
+        output.
+        """
+        spec = self.spec
+        dtype = tensors[0].dtype
+        chunk = self._position_chunk(positions, dtype.itemsize)
+        # float64 accumulator regardless of compute dtype: the slice/tile
+        # recombination and the offset correction downstream cancel
+        # large-magnitude operands (see the ``shifts`` note in ``_wire``)
+        out = np.empty((self.n_groups, positions, self.group_cols))
+        charges = np.empty(
+            (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
+            dtype=dtype,
+        )
+        sums = (
+            np.empty((self.row_tiles, 1, self.n_groups, chunk, 1), dtype=dtype)
+            if delay_sums
+            else None
+        )
+        for p0 in range(0, positions, chunk):
+            n = min(chunk, positions - p0)
+            block = charges[:, :, :, :n]
+            for rt, (r0, height) in enumerate(self._row_spans):
+                d = operand[:, p0 : p0 + n, r0 : r0 + height]
+                if sums is not None:
+                    sums[rt, 0, :, :n, 0] = d.sum(axis=2)
+                for s, tensor in enumerate(tensors):
+                    np.matmul(d, tensor[:, r0 : r0 + height, :], out=block[rt, s])
+            if sums is not None:
+                block *= dtype.type(spec.v_dd)
+            # the whole per-chunk chain — (reference-column subtract,) clips,
+            # phase-I/II conversion, optional early-TDC saturation and the
+            # slice-cascade recombination — in one dispatched kernel call
+            readout_fused(
+                block,
+                None if sums is None else sums[:, :, :, :n],
+                spec.scalars(),
+                out=block,
+                saturation=self._saturation,
+                shifts=self.shifts,
+                recombine_out=out[:, p0 : p0 + n],
+            )
+        return out
+
+    def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:
+        """Conductance-path estimate of the grouped integer products.
+
+        The full delay tensor (and any DTC jitter draw on it) is computed
+        *before* the chunk walk of :meth:`_read_out`, so noisy results are
+        independent of the chunking.
         """
         spec = self.spec
         noise = self._read_noise
@@ -515,17 +644,4 @@ class PackedMatmul:
             # the conversion collapses to one scale of the whole batch
             delays = grouped.astype(dtype)
             delays *= dtype.type(spec.dtc.t_del_s)
-        chunk = self._position_chunk(positions)
-        # float64 accumulator regardless of compute dtype: the slice/tile
-        # recombination and the offset correction downstream cancel
-        # large-magnitude operands (see the ``shifts`` note in ``_wire``)
-        out = np.empty((self.n_groups, positions, self.group_cols))
-        charges = np.empty(
-            (self.row_tiles, self.n_slices, self.n_groups, chunk, self.group_cols),
-            dtype=dtype,
-        )
-        delay_sums = np.empty((self.row_tiles, 1, self.n_groups, chunk, 1), dtype=dtype)
-        for p0 in range(0, positions, chunk):
-            n = min(chunk, positions - p0)
-            self._run_chunk(delays, out, p0, n, charges, delay_sums)
-        return out
+        return self._read_out(delays, self._conductances, positions, delay_sums=True)

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
 
 #: must match repro_kernels_abi_version() in readout.c
-ABI_VERSION = 2
+ABI_VERSION = 3
 #: flags the bit-for-bit contract depends on (see module docstring)
 CFLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -142,21 +142,30 @@ def _bind(path: Path) -> ctypes.CDLL:
         _void_p, _void_p,  # shifts, rec_out
         _i64, _i64, _i64,  # rec_out strides
     ]
-    recombine = [
-        _void_p, _void_p,  # estimates, shifts
+    levels = [
+        _void_p,  # products
         _i64, _i64, _i64, _i64, _i64,  # T, S, G, P, C
-        _i64, _i64, _i64, _i64, _i64,  # estimate strides
-        _void_p, _i64, _i64, _i64,  # rec_out + strides
+        _i64, _i64, _i64, _i64, _i64,  # product strides
+        _f64, _f64, _f64, _f64, _f64, _f64,  # chain scalars
+        _f64, _i32,  # saturation, has_saturation
+        _void_p, _void_p,  # shifts, rec_out
+        _i64, _i64, _i64,  # rec_out strides
     ]
-    for name, argtypes in (
-        ("readout_fused_f64", fused),
-        ("readout_fused_f32", fused),
-        ("slice_recombine_f64", recombine),
-        ("slice_recombine_f32", recombine),
-        ("im2col_f64", [_void_p] + [_i64] * 9 + [_void_p]),
-    ):
+    cell_levels = [_void_p, _i64, _f64, _f64, _f64, _void_p]
+    im2col = [_void_p] + [_i64] * 13 + [_void_p]
+    signatures = [
+        ("readout_fused_f64", fused, None),
+        ("readout_fused_f32", fused, None),
+        ("readout_levels_f64", levels, None),
+        ("readout_levels_f32", levels, None),
+    ]
+    for src in ("f64", "f32"):
+        for dst in ("f64", "f32"):
+            signatures.append((f"cell_levels_{src}_{dst}", cell_levels, _i64))
+            signatures.append((f"im2col_{src}_{dst}", im2col, _i32))
+    for name, argtypes, restype in signatures:
         fn = getattr(lib, name)
-        fn.restype = None
+        fn.restype = restype
         fn.argtypes = argtypes
     return lib
 
@@ -174,15 +183,22 @@ def load() -> ctypes.CDLL:
 
 
 _SUPPORTED = (np.dtype(np.float64), np.dtype(np.float32))
+#: dtype -> the suffix of the compiled variant serving it
+_SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 
 
 def _element_strides(a: np.ndarray) -> List[int]:
     return [s // a.itemsize for s in a.strides]
 
 
+def _addressable(a: np.ndarray) -> bool:
+    """Every stride is a whole number of elements."""
+    return not any(s % a.itemsize for s in a.strides)
+
+
 def _fast_path_ok(
     charges: np.ndarray,
-    delay_sums: np.ndarray,
+    delay_sums: Optional[np.ndarray],
     out: Optional[np.ndarray],
     shifts: Optional[np.ndarray],
     recombine_out: Optional[np.ndarray],
@@ -190,23 +206,22 @@ def _fast_path_ok(
     """Whether this call fits the compiled packed-stack layout."""
     if not isinstance(charges, np.ndarray) or charges.ndim != 5:
         return False
-    if charges.dtype not in _SUPPORTED:
-        return False
-    if not isinstance(delay_sums, np.ndarray) or delay_sums.dtype != charges.dtype:
+    if charges.dtype not in _SUPPORTED or not _addressable(charges):
         return False
     tiles, slices, groups, pos, cols = charges.shape
-    if delay_sums.shape != (tiles, 1, groups, pos, 1):
-        return False
-    if any(s % charges.itemsize for s in charges.strides):
-        return False
-    if any(s % delay_sums.itemsize for s in delay_sums.strides):
-        return False
+    if delay_sums is not None:
+        if not isinstance(delay_sums, np.ndarray) or delay_sums.dtype != charges.dtype:
+            return False
+        if delay_sums.shape != (tiles, 1, groups, pos, 1):
+            return False
+        if not _addressable(delay_sums):
+            return False
     if out is not None and out is not charges:
         if (
             not isinstance(out, np.ndarray)
             or out.shape != charges.shape
             or out.dtype != charges.dtype
-            or any(s % out.itemsize for s in out.strides)
+            or not _addressable(out)
         ):
             return False
     if shifts is not None:
@@ -214,7 +229,7 @@ def _fast_path_ok(
             return False
         if recombine_out.shape != (groups, pos, cols):
             return False
-        if any(s % recombine_out.itemsize for s in recombine_out.strides):
+        if not _addressable(recombine_out):
             return False
         if np.asarray(shifts).shape != (slices,):
             return False
@@ -223,7 +238,7 @@ def _fast_path_ok(
 
 def readout_fused(
     charges: np.ndarray,
-    delay_sums: np.ndarray,
+    delay_sums: Optional[np.ndarray],
     scalars: "ReadoutScalars",
     out: Optional[np.ndarray] = None,
     saturation: Optional[float] = None,
@@ -250,7 +265,6 @@ def readout_fused(
         work = out
     tiles, slices, groups, pos, cols = work.shape
     ch = _element_strides(work)
-    ds = _element_strides(delay_sums)
     if shifts is not None:
         shift_weights = np.ascontiguousarray(np.asarray(shifts, dtype=np.float64))
         rec = recombine_out
@@ -261,14 +275,7 @@ def readout_fused(
         shifts_ptr = None
         rec_ptr = None
         rec_strides = [0, 0, 0]
-    fn = lib.readout_fused_f64 if work.dtype == np.float64 else lib.readout_fused_f32
-    fn(
-        work.ctypes.data,
-        delay_sums.ctypes.data,
-        tiles, slices, groups, pos, cols,
-        ch[0], ch[1], ch[2], ch[3], ch[4],
-        ds[0], ds[2], ds[3],
-        scalars.offset_coeff,
+    tail = (
         scalars.capacitance_f,
         scalars.v_threshold,
         scalars.phase2_scale,
@@ -280,69 +287,95 @@ def readout_fused(
         rec_ptr,
         rec_strides[0], rec_strides[1], rec_strides[2],
     )
+    suffix = _SUFFIX[work.dtype]
+    if delay_sums is None:
+        getattr(lib, f"readout_levels_{suffix}")(
+            work.ctypes.data,
+            tiles, slices, groups, pos, cols,
+            ch[0], ch[1], ch[2], ch[3], ch[4],
+            scalars.level_coeff,
+            *tail,
+        )
+        return work
+    ds = _element_strides(delay_sums)
+    getattr(lib, f"readout_fused_{suffix}")(
+        work.ctypes.data,
+        delay_sums.ctypes.data,
+        tiles, slices, groups, pos, cols,
+        ch[0], ch[1], ch[2], ch[3], ch[4],
+        ds[0], ds[2], ds[3],
+        scalars.offset_coeff,
+        *tail,
+    )
     return work
 
 
-def slice_recombine(
-    shifts: np.ndarray, estimates: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def _flat(a: np.ndarray) -> Optional[np.ndarray]:
+    """A 1-D view of ``a`` in its own memory order, or ``None`` if strided."""
+    if a.flags.c_contiguous:
+        return a.reshape(-1)
+    if a.flags.f_contiguous:
+        return a.T.reshape(-1)
+    return None
+
+
+def cell_levels(
+    conductances: np.ndarray,
+    g_min: float,
+    g_step: float,
+    max_level: int,
+    dtype: np.dtype,
+) -> Optional[np.ndarray]:
+    dtype = np.dtype(dtype)
     if (
-        not isinstance(estimates, np.ndarray)
-        or estimates.ndim != 5
-        or estimates.dtype not in _SUPPORTED
-        or out.dtype != np.float64
-        or out.shape != estimates.shape[2:]
-        or np.asarray(shifts).shape != (estimates.shape[1],)
-        or any(s % estimates.itemsize for s in estimates.strides)
-        or any(s % out.itemsize for s in out.strides)
+        not isinstance(conductances, np.ndarray)
+        or conductances.dtype not in _SUPPORTED
+        or dtype not in _SUPPORTED
+        or _flat(conductances) is None
     ):
-        return numpy_impl.slice_recombine(shifts, estimates, out)
+        return numpy_impl.cell_levels(conductances, g_min, g_step, max_level, dtype)
     lib = load()
-    shift_weights = np.ascontiguousarray(np.asarray(shifts, dtype=np.float64))
-    tiles, slices, groups, pos, cols = estimates.shape
-    es = _element_strides(estimates)
-    rec_strides = _element_strides(out)
-    fn = (
-        lib.slice_recombine_f64
-        if estimates.dtype == np.float64
-        else lib.slice_recombine_f32
+    # same memory order as the conductances: the pass is one sequential run
+    levels = np.empty_like(conductances, dtype=dtype, subok=False)
+    src, dst = _flat(conductances), _flat(levels)
+    fn = getattr(lib, f"cell_levels_{_SUFFIX[conductances.dtype]}_{_SUFFIX[dtype]}")
+    off_grid = fn(
+        src.ctypes.data, src.size, g_min, g_step, float(max_level), dst.ctypes.data
     )
-    fn(
-        estimates.ctypes.data,
-        shift_weights.ctypes.data,
-        tiles, slices, groups, pos, cols,
-        es[0], es[1], es[2], es[3], es[4],
-        out.ctypes.data,
-        rec_strides[0], rec_strides[1], rec_strides[2],
-    )
-    return out
+    return None if off_grid else levels
 
 
 def im2col_pack(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
+    x: np.ndarray,
+    kernel: int,
+    stride: int = 1,
+    pad: int = 0,
+    dtype: Optional[np.dtype] = None,
 ) -> Tuple[np.ndarray, int, int]:
+    out_dtype = np.dtype(getattr(x, "dtype", None) if dtype is None else dtype)
     if (
         not isinstance(x, np.ndarray)
         or x.ndim != 4
-        or x.dtype != np.float64
-        or not x.flags.c_contiguous
+        or x.dtype not in _SUPPORTED
+        or out_dtype not in _SUPPORTED
+        or not _addressable(x)
         or kernel <= 0
         or stride <= 0
         or pad < 0
     ):
-        return numpy_impl.im2col_pack(x, kernel, stride=stride, pad=pad)
+        return numpy_impl.im2col_pack(x, kernel, stride=stride, pad=pad, dtype=dtype)
     n, channels, height, width = x.shape
     out_h = (height + 2 * pad - kernel) // stride + 1
     out_w = (width + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel/stride/pad combination produces empty output")
     lib = load()
-    cols = np.empty((n, channels * kernel * kernel, out_h * out_w))
-    lib.im2col_f64(
-        x.ctypes.data, n, channels, height, width,
+    cols = np.empty((n * out_h * out_w, channels * kernel * kernel), dtype=out_dtype)
+    sn, sc, sh, sw = _element_strides(x)
+    fn = getattr(lib, f"im2col_{_SUFFIX[x.dtype]}_{_SUFFIX[out_dtype]}")
+    if fn(
+        x.ctypes.data, n, channels, height, width, sn, sc, sh, sw,
         kernel, stride, pad, out_h, out_w, cols.ctypes.data,
-    )
-    # same value, bytes and layout as the numpy reference: a C-contiguous
-    # (N, C*k*k, positions) buffer viewed as its (N, positions, C*k*k)
-    # transpose, F-contiguous per image for the downstream BLAS matmul
-    return cols.transpose(0, 2, 1), out_h, out_w
+    ):
+        raise MemoryError("im2col offset table allocation failed")
+    return cols, out_h, out_w

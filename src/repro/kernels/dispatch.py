@@ -1,8 +1,9 @@
 """Runtime kernel dispatch: one entry point per hot loop, tiered backends.
 
-The engine's two hot loops — the fused time-domain read-out chain and the
-im2col gather — are reachable only through this module.  An ordered
-registry of implementation tiers backs each entry point:
+The engine's hot loops — the fused time-domain read-out chain, the
+cell-level derivation of the exact-level path and the im2col gather — are
+reachable only through this module.  An ordered registry of
+implementation tiers backs each entry point:
 
 ``c``
     Hand-written C (``readout.c``) compiled on first use with the system C
@@ -10,9 +11,9 @@ registry of implementation tiers backs each entry point:
     the numpy tier; built lazily into a content-hash-keyed cache, or ahead
     of time via ``python -m repro.kernels.build``.
 ``numpy``
-    The historical pure-numpy code, extracted verbatim into
-    :mod:`repro.kernels.numpy_impl`.  Always available; the bit-for-bit
-    reference every other tier is tested against.
+    The pure-numpy reference in :mod:`repro.kernels.numpy_impl`.  Always
+    available; the bit-for-bit reference every other tier is tested
+    against.
 
 Selection: the first available tier in ``KERNEL_TIERS`` order, overridden
 by (highest precedence first) an explicit ``kernel=`` argument, then the
@@ -64,7 +65,8 @@ class ReadoutScalars:
     ``offset_coeff`` is the precomputed ``v_dd * g_min_s`` product and
     ``phase2_scale`` the precomputed ``capacitance_f / phase2_current_a``
     ratio; both are single IEEE-754 doubles, so precomputation cannot
-    change any result bit.
+    change any result bit.  ``level_coeff`` (``v_dd * t_del_s *
+    g_step_s``) turns an integer level product into its net charge.
     """
 
     offset_coeff: float
@@ -74,6 +76,7 @@ class ReadoutScalars:
     full_scale_s: float
     lsb_s: float
     dot_max: float
+    level_coeff: float
 
 
 _lock = threading.Lock()
@@ -167,7 +170,7 @@ def default_kernel() -> str:
 
 def readout_fused(
     charges: np.ndarray,
-    delay_sums: np.ndarray,
+    delay_sums: Optional[np.ndarray],
     scalars: ReadoutScalars,
     out: Optional[np.ndarray] = None,
     saturation: Optional[float] = None,
@@ -187,6 +190,12 @@ def readout_fused(
     power-of-two slice cascade is recombined into ``recombine_out`` in the
     same pass.  Returns the chain result (the estimates, not the
     recombination).
+
+    ``delay_sums=None`` selects the exact-level chain: ``charges`` then
+    holds exact integer level products ``P`` (float32 or float64), the net
+    charge is ``scalars.level_coeff * P`` — on an unperturbed level grid
+    the G_min reference column cancels exactly, so there is nothing to
+    subtract — and the chain and recombination run in float64.
     """
     return resolve(kernel)[1].readout_fused(
         charges,
@@ -199,14 +208,22 @@ def readout_fused(
     )
 
 
-def slice_recombine(
-    shifts: np.ndarray,
-    estimates: np.ndarray,
-    out: np.ndarray,
+def cell_levels(
+    conductances: np.ndarray,
+    g_min: float,
+    g_step: float,
+    max_level: int,
+    dtype: np.dtype,
     kernel: Optional[str] = None,
-) -> np.ndarray:
-    """Digital slice/tile recombination (``einsum "s,tsgpc->gpc"``)."""
-    return resolve(kernel)[1].slice_recombine(shifts, estimates, out)
+) -> Optional[np.ndarray]:
+    """Integer cell levels ``rint((G - g_min) / g_step)`` as ``dtype``.
+
+    One pass over a programmed conductance tensor, in its own memory
+    order and layout.  Returns ``None`` when any cell is off the level
+    grid (its level does not reproduce ``G`` through ``level * g_step +
+    g_min`` in ``G``'s precision, or lies outside ``[0, max_level]``).
+    """
+    return resolve(kernel)[1].cell_levels(conductances, g_min, g_step, max_level, dtype)
 
 
 def im2col_pack(
@@ -214,7 +231,15 @@ def im2col_pack(
     kernel_size: int,
     stride: int = 1,
     pad: int = 0,
+    dtype: Optional[np.dtype] = None,
     kernel: Optional[str] = None,
 ) -> Tuple[np.ndarray, int, int]:
-    """Batched im2col: ``(N, C, H, W)`` to ``(N, positions, C*K*K)`` + dims."""
-    return resolve(kernel)[1].im2col_pack(x, kernel_size, stride=stride, pad=pad)
+    """Batched im2col of ``(N, C, H, W)`` (any strides) into the GEMM operand.
+
+    Returns ``(cols, out_h, out_w)`` with ``cols`` the C-contiguous
+    ``(N * out_h * out_w, C * kernel_size**2)`` matrix of ``dtype``
+    (default ``x.dtype``), columns in ``(c, ki, kj)`` order.
+    """
+    return resolve(kernel)[1].im2col_pack(
+        x, kernel_size, stride=stride, pad=pad, dtype=dtype
+    )

@@ -1,11 +1,12 @@
 """Pure-numpy kernel tier: the bit-for-bit reference implementation.
 
-This module is the read-out / im2col code that used to live inline in
+The read-out chain here is the code that used to live inline in
 :meth:`repro.circuits.timing.TimeDomainChainSpec.read_out` and
 :meth:`repro.engine.packed.PackedMatmul._analog_products`, extracted
-verbatim.  The compiled ``c`` tier is tested bit-for-bit
-against these functions in float64 — when in doubt, this file defines
-what "correct" means.
+verbatim; the level variant, the cell-level derivation and the im2col
+gather define their compiled counterparts.  The compiled ``c`` tier is
+tested bit-for-bit against these functions in float64 — when in doubt,
+this file defines what "correct" means.
 
 Always available (numpy is the repo's only hard dependency), always last
 in the dispatch order, and the fallback target whenever a compiled tier
@@ -17,8 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-
-from repro.nn import functional as F
+from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def readout_fused(
     charges: np.ndarray,
-    delay_sums: np.ndarray,
+    delay_sums: Optional[np.ndarray],
     scalars: "ReadoutScalars",
     out: Optional[np.ndarray] = None,
     saturation: Optional[float] = None,
@@ -41,9 +41,17 @@ def readout_fused(
     clip (a fraction of ``scalars.dot_max``) and ``shifts`` /
     ``recombine_out`` the optional slice-cascade einsum — both exactly as
     ``PackedMatmul._analog_products`` applied them after the chain.
+
+    With ``delay_sums=None`` the chain starts from exact integer level
+    products instead: the net charge is ``scalars.level_coeff * charges``
+    and every later step runs in float64, whatever the products' dtype;
+    the estimates come back narrowed to that dtype.
     """
-    offset = scalars.offset_coeff * delay_sums
-    net = np.subtract(charges, offset, out=out)
+    if delay_sums is None:
+        net = np.multiply(charges, scalars.level_coeff, dtype=np.float64)
+    else:
+        offset = scalars.offset_coeff * delay_sums
+        net = np.subtract(charges, offset, out=out)
     np.clip(net, 0.0, None, out=net)
     net /= scalars.capacitance_f  # phase-I capacitor voltage
     np.subtract(scalars.v_threshold, net, out=net)
@@ -58,19 +66,67 @@ def readout_fused(
     if shifts is not None:
         # recombine: sum over row tiles (t), slice cascade weights over s
         np.einsum("s,tsgpc->gpc", shifts, net, out=recombine_out)
+    if delay_sums is None:
+        if out is None:
+            return net.astype(charges.dtype, copy=False)
+        np.copyto(out, net, casting="same_kind")
+        return out
     return net
 
 
-def slice_recombine(
-    shifts: np.ndarray, estimates: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Digital slice/tile recombination: ``out[g,p,c] = sum_ts shifts[s] * e``."""
-    np.einsum("s,tsgpc->gpc", shifts, estimates, out=out)
-    return out
+def cell_levels(
+    conductances: np.ndarray,
+    g_min: float,
+    g_step: float,
+    max_level: int,
+    dtype: np.dtype,
+) -> Optional[np.ndarray]:
+    """Integer cell levels of programmed conductances, or ``None``.
+
+    ``rint((G - g_min) / g_step)`` in the conductances' own precision,
+    returned as ``dtype`` in their memory layout.  ``None`` when any cell
+    is off the level grid: its level does not reproduce ``G`` through the
+    programming arithmetic ``level * g_step + g_min``, or lies outside
+    ``[0, max_level]``.
+    """
+    real = conductances.dtype.type
+    levels = np.rint((conductances - real(g_min)) / real(g_step))
+    on_grid = levels * real(g_step) + real(g_min) == conductances
+    on_grid &= (levels >= 0) & (levels <= max_level)
+    if not on_grid.all():
+        return None
+    return levels.astype(dtype, order="K", copy=False)
 
 
 def im2col_pack(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
+    x: np.ndarray,
+    kernel: int,
+    stride: int = 1,
+    pad: int = 0,
+    dtype: Optional[np.dtype] = None,
 ) -> Tuple[np.ndarray, int, int]:
-    """Batched im2col; delegates to the historical numpy implementation."""
-    return F.im2col_batch(x, kernel, stride=stride, pad=pad)
+    """Batched im2col straight into the GEMM operand.
+
+    Unfolds ``(N, C, H, W)`` (any strides) into a C-contiguous
+    ``(N * out_h * out_w, C * kernel * kernel)`` matrix of ``dtype``
+    (default ``x.dtype``), one row per output position, columns in
+    ``(c, ki, kj)`` order — one strided copy from the padded windows.
+    """
+    n, channels, height, width = x.shape
+    out_h = (height + 2 * pad - kernel) // stride + 1
+    out_w = (width + 2 * pad - kernel) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("kernel/stride/pad combination produces empty output")
+    padded = (
+        np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+        if pad
+        else x
+    )
+    windows = sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, C, out_h, out_w, k, k)
+    cols = np.empty(
+        (n, out_h, out_w, channels, kernel, kernel),
+        dtype=x.dtype if dtype is None else dtype,
+    )
+    np.copyto(cols, windows.transpose(0, 2, 3, 1, 4, 5), casting="same_kind")
+    return cols.reshape(n * out_h * out_w, channels * kernel * kernel), out_h, out_w

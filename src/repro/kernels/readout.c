@@ -1,5 +1,6 @@
 /*
- * Compiled hot-path kernels for the time-domain read-out chain and im2col.
+ * Compiled hot-path kernels: the time-domain read-out chain, the cell-level
+ * derivation of the exact-level path, and the im2col gather.
  *
  * Bit-for-bit contract: every routine here must reproduce the numpy
  * reference in `repro.kernels.numpy_impl` exactly, element by element, in
@@ -30,11 +31,18 @@
  * the exact accumulation order numpy's einsum "s,tsgpc->gpc" uses, which
  * the float64 bit-identity tests pin down.
  *
+ * The level variant starts from exact integer level products P instead:
+ *   v  = (double)P * level_coeff               (net charge; the G_min
+ *                                               reference column cancels
+ *                                               exactly on the level grid)
+ * and runs the rest of the chain in double whatever P's storage type.
+ *
  * The loops touch disjoint data per (t, s, g, p) row and carry no global
  * state.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #ifdef _MSC_VER
@@ -45,7 +53,20 @@
 
 /* Bumped whenever a signature changes; the loader refuses mismatches so a
  * stale cached .so can never be called with the wrong ABI. */
-API int64_t repro_kernels_abi_version(void) { return 2; }
+API int64_t repro_kernels_abi_version(void) { return 3; }
+
+static void zero_rec_out(double *rec_out, int64_t n_groups, int64_t n_pos,
+                         int64_t n_cols, int64_t rec_sg, int64_t rec_sp,
+                         int64_t rec_sc)
+{
+    int64_t g, p, c;
+    for (g = 0; g < n_groups; ++g)
+        for (p = 0; p < n_pos; ++p) {
+            double *orow = rec_out + g * rec_sg + p * rec_sp;
+            for (c = 0; c < n_cols; ++c)
+                orow[c * rec_sc] = 0.0;
+        }
+}
 
 #define DEFINE_READOUT_FUSED(NAME, REAL)                                       \
 API void NAME(                                                                 \
@@ -71,12 +92,7 @@ API void NAME(                                                                 \
     REAL saturation = (REAL)saturation_d;                                      \
     int64_t t, s, g, p, c;                                                     \
     if (shifts != NULL)                                                        \
-        for (g = 0; g < n_groups; ++g)                                         \
-            for (p = 0; p < n_pos; ++p) {                                      \
-                double *orow = rec_out + g * rec_sg + p * rec_sp;              \
-                for (c = 0; c < n_cols; ++c)                                   \
-                    orow[c * rec_sc] = 0.0;                                    \
-            }                                                                  \
+        zero_rec_out(rec_out, n_groups, n_pos, n_cols, rec_sg, rec_sp, rec_sc);\
     for (t = 0; t < n_tiles; ++t)                                              \
         for (s = 0; s < n_slices; ++s) {                                       \
             double weight = (shifts != NULL) ? shifts[s] : 0.0;                \
@@ -109,85 +125,186 @@ API void NAME(                                                                 \
 DEFINE_READOUT_FUSED(readout_fused_f64, double)
 DEFINE_READOUT_FUSED(readout_fused_f32, float)
 
-/* Standalone slice recombination (the einsum "s,tsgpc->gpc"), t-major with
- * the slice loop inner — the accumulation order numpy uses. */
-#define DEFINE_SLICE_RECOMBINE(NAME, REAL)                                     \
+/* The chain fed by exact integer level products (stored as REAL, run in
+ * double); the estimates are written back narrowed to REAL.  The chain
+ * body is one inline function so the unit-stride loop of the engine's
+ * packed layout and the general strided loop share it; the ternary clamps
+ * keep the unit-stride loop vectorisable (same IEEE results, NaN kept). */
+typedef struct {
+    double level_coeff, capacitance, v_threshold, phase2_scale, full_scale,
+        lsb, saturation;
+    int32_t has_saturation;
+} level_chain_t;
+
+static inline double level_chain(double v, const level_chain_t *k)
+{
+    v *= k->level_coeff;
+    v = v < 0.0 ? 0.0 : v;
+    v /= k->capacitance;
+    v = k->v_threshold - v;
+    v = v < 0.0 ? 0.0 : v;
+    v *= k->phase2_scale;
+    v = k->full_scale - v;
+    v /= k->lsb;
+    if (k->has_saturation) v = v > k->saturation ? k->saturation : v;
+    return v;
+}
+
+#define DEFINE_READOUT_LEVELS(NAME, REAL)                                      \
 API void NAME(                                                                 \
-    const REAL *estimates, const double *shifts,                               \
+    REAL *products,                                                            \
     int64_t n_tiles, int64_t n_slices, int64_t n_groups,                       \
     int64_t n_pos, int64_t n_cols,                                             \
-    int64_t es_st, int64_t es_ss, int64_t es_sg, int64_t es_sp, int64_t es_sc, \
-    double *rec_out, int64_t rec_sg, int64_t rec_sp, int64_t rec_sc)           \
+    int64_t ch_st, int64_t ch_ss, int64_t ch_sg, int64_t ch_sp, int64_t ch_sc, \
+    double level_coeff, double capacitance, double v_threshold,                \
+    double phase2_scale, double full_scale, double lsb,                        \
+    double saturation, int32_t has_saturation,                                 \
+    const double *shifts, double *rec_out,                                     \
+    int64_t rec_sg, int64_t rec_sp, int64_t rec_sc)                            \
 {                                                                              \
+    const level_chain_t k = {level_coeff, capacitance, v_threshold,            \
+                             phase2_scale, full_scale, lsb, saturation,        \
+                             has_saturation};                                  \
+    int unit = shifts != NULL && ch_sc == 1 && rec_sc == 1;                    \
     int64_t t, s, g, p, c;                                                     \
-    for (g = 0; g < n_groups; ++g)                                             \
-        for (p = 0; p < n_pos; ++p) {                                          \
-            double *orow = rec_out + g * rec_sg + p * rec_sp;                  \
-            for (c = 0; c < n_cols; ++c)                                       \
-                orow[c * rec_sc] = 0.0;                                        \
-        }                                                                      \
+    if (shifts != NULL)                                                        \
+        zero_rec_out(rec_out, n_groups, n_pos, n_cols, rec_sg, rec_sp, rec_sc);\
     for (t = 0; t < n_tiles; ++t)                                              \
         for (s = 0; s < n_slices; ++s) {                                       \
-            double weight = shifts[s];                                         \
+            double weight = (shifts != NULL) ? shifts[s] : 0.0;                \
             for (g = 0; g < n_groups; ++g)                                     \
                 for (p = 0; p < n_pos; ++p) {                                  \
-                    const REAL *row = estimates +                              \
-                        t * es_st + s * es_ss + g * es_sg + p * es_sp;         \
-                    double *orow = rec_out + g * rec_sg + p * rec_sp;          \
-                    for (c = 0; c < n_cols; ++c)                               \
-                        orow[c * rec_sc] += weight * (double)row[c * es_sc];   \
+                    REAL *row = products +                                     \
+                        t * ch_st + s * ch_ss + g * ch_sg + p * ch_sp;         \
+                    double *orow = (shifts != NULL)                            \
+                        ? rec_out + g * rec_sg + p * rec_sp : NULL;            \
+                    if (unit) {                                                \
+                        for (c = 0; c < n_cols; ++c) {                         \
+                            double v = level_chain((double)row[c], &k);        \
+                            row[c] = (REAL)v;                                  \
+                            orow[c] += weight * v;                             \
+                        }                                                      \
+                        continue;                                              \
+                    }                                                          \
+                    for (c = 0; c < n_cols; ++c) {                             \
+                        double v = level_chain((double)row[c * ch_sc], &k);    \
+                        row[c * ch_sc] = (REAL)v;                              \
+                        if (orow != NULL)                                      \
+                            orow[c * rec_sc] += weight * v;                    \
+                    }                                                          \
                 }                                                              \
         }                                                                      \
 }
 
-DEFINE_SLICE_RECOMBINE(slice_recombine_f64, double)
-DEFINE_SLICE_RECOMBINE(slice_recombine_f32, float)
+DEFINE_READOUT_LEVELS(readout_levels_f64, double)
+DEFINE_READOUT_LEVELS(readout_levels_f32, float)
 
-/* im2col gather: x (N, CH, H, W) C-contiguous float64 -> cols
- * (N, CH*K*K, out_h*out_w) C-contiguous float64, zero-padded borders.
- * Byte-identical to the pad/as_strided/transpose/reshape pipeline in
- * nn/functional.py (pure data movement, no arithmetic). */
-API void im2col_f64(
-    const double *x, int64_t n, int64_t ch, int64_t h, int64_t w,
-    int64_t kernel, int64_t stride, int64_t pad,
-    int64_t out_h, int64_t out_w, double *cols)
-{
-    int64_t out_pos = out_h * out_w;
-    int64_t ckk = ch * kernel * kernel;
-    int64_t img, c, ki, kj, oh, ow;
-    for (img = 0; img < n; ++img)
-        for (c = 0; c < ch; ++c)
-            for (ki = 0; ki < kernel; ++ki)
-                for (kj = 0; kj < kernel; ++kj) {
-                    int64_t row_index = (c * kernel + ki) * kernel + kj;
-                    double *dst = cols + (img * ckk + row_index) * out_pos;
-                    for (oh = 0; oh < out_h; ++oh) {
-                        int64_t ih = oh * stride - pad + ki;
-                        double *drow = dst + oh * out_w;
-                        if (ih < 0 || ih >= h) {
-                            memset(drow, 0, (size_t)out_w * sizeof(double));
-                            continue;
-                        }
-                        const double *srow = x + ((img * ch + c) * h + ih) * w;
-                        if (stride == 1) {
-                            /* contiguous span with zeroed out-of-range edges */
-                            int64_t iw0 = -pad + kj;
-                            int64_t lo = iw0 < 0 ? -iw0 : 0;
-                            int64_t hi = iw0 + out_w > w ? w - iw0 : out_w;
-                            if (hi < lo) hi = lo;
-                            if (lo > 0) memset(drow, 0, (size_t)lo * sizeof(double));
-                            if (hi > lo)
-                                memcpy(drow + lo, srow + iw0 + lo,
-                                       (size_t)(hi - lo) * sizeof(double));
-                            if (hi < out_w)
-                                memset(drow + hi, 0,
-                                       (size_t)(out_w - hi) * sizeof(double));
-                        } else {
-                            for (ow = 0; ow < out_w; ++ow) {
-                                int64_t iw = ow * stride - pad + kj;
-                                drow[ow] = (iw < 0 || iw >= w) ? 0.0 : srow[iw];
-                            }
-                        }
-                    }
-                }
+/* Integer cell levels of n conductances (one memory-order run):
+ *   level = rint((g - g_min) / g_step)        in the conductance type REAL,
+ * stored as OUT.  Returns nonzero when any cell is OFF the grid — the
+ * level does not reproduce g as level * g_step + g_min (the arithmetic
+ * that programmed it) or lies outside [0, max_level].
+ *
+ * Written to vectorise: rint is spelled (q + M) - M with M = 1.5 * 2^p
+ * (p = mantissa bits), exact round-half-even for |q| < 2^(p-1) — any
+ * larger |q|, and NaN, is off the grid either way — and each block first
+ * marks off-grid cells -1, then narrows and ORs the sign bits. */
+#define CELL_BLOCK 512
+#define DEFINE_CELL_LEVELS(NAME, REAL, BITS, OUT, MAGIC)                       \
+API int64_t NAME(                                                              \
+    const REAL *conductances, int64_t n,                                       \
+    double g_min_d, double g_step_d, double max_level_d, OUT *levels)          \
+{                                                                              \
+    const REAL g_min = (REAL)g_min_d;                                          \
+    const REAL g_step = (REAL)g_step_d;                                        \
+    const REAL max_level = (REAL)max_level_d;                                  \
+    const REAL magic = MAGIC;                                                  \
+    REAL block[CELL_BLOCK];                                                    \
+    BITS signs = 0;                                                            \
+    int64_t i0, i, m;                                                          \
+    for (i0 = 0; i0 < n; i0 += CELL_BLOCK) {                                   \
+        const REAL *g = conductances + i0;                                     \
+        m = n - i0 < CELL_BLOCK ? n - i0 : CELL_BLOCK;                         \
+        for (i = 0; i < m; ++i) {                                              \
+            REAL level = ((g[i] - g_min) / g_step + magic) - magic;            \
+            int on_grid = (level * g_step + g_min == g[i])                     \
+                & (level >= (REAL)0.0) & (level <= max_level);                 \
+            block[i] = on_grid ? level : (REAL)-1.0;                           \
+        }                                                                      \
+        for (i = 0; i < m; ++i) {                                              \
+            BITS bits;                                                         \
+            memcpy(&bits, &block[i], sizeof bits);                             \
+            signs |= bits;                                                     \
+        }                                                                      \
+        for (i = 0; i < m; ++i)                                                \
+            levels[i0 + i] = (OUT)block[i];                                    \
+    }                                                                          \
+    return (int64_t)(signs >> (8 * sizeof(BITS) - 1));                         \
 }
+
+DEFINE_CELL_LEVELS(cell_levels_f64_f64, double, uint64_t, double, 6755399441055744.0)
+DEFINE_CELL_LEVELS(cell_levels_f64_f32, double, uint64_t, float, 6755399441055744.0)
+DEFINE_CELL_LEVELS(cell_levels_f32_f64, float, uint32_t, double, 12582912.0f)
+DEFINE_CELL_LEVELS(cell_levels_f32_f32, float, uint32_t, float, 12582912.0f)
+
+/* im2col gather: x (N, CH, H, W) with any element strides -> the GEMM
+ * operand cols (N*out_h*out_w, CH*K*K), C-contiguous, zero-padded borders,
+ * columns in (c, ki, kj) order.  Pure data movement plus one exact cast.
+ * Each output row resolves its K*K source offsets once (-1 = padding);
+ * the channel loop runs innermost when channels are the densest source
+ * axis (channel-last views), outermost otherwise. */
+#define DEFINE_IM2COL(NAME, SRC, DST)                                          \
+API int32_t NAME(                                                              \
+    const SRC *x, int64_t n, int64_t ch, int64_t h, int64_t w,                 \
+    int64_t sn, int64_t sc, int64_t sh, int64_t sw,                            \
+    int64_t kernel, int64_t stride, int64_t pad,                               \
+    int64_t out_h, int64_t out_w, DST *cols)                                   \
+{                                                                              \
+    int64_t kk = kernel * kernel;                                              \
+    int64_t ckk = ch * kk;                                                     \
+    int64_t img, oh, ow, ki, kj, k, c;                                         \
+    int channel_inner = llabs(sc) <= llabs(sw);                                \
+    int64_t *offsets = (int64_t *)malloc((size_t)kk * sizeof(int64_t));       \
+    if (offsets == NULL) return 1;                                             \
+    for (img = 0; img < n; ++img)                                              \
+        for (oh = 0; oh < out_h; ++oh)                                         \
+            for (ow = 0; ow < out_w; ++ow) {                                   \
+                const SRC *xi = x + img * sn;                                  \
+                DST *row = cols + ((img * out_h + oh) * out_w + ow) * ckk;     \
+                for (ki = 0; ki < kernel; ++ki)                                \
+                    for (kj = 0; kj < kernel; ++kj) {                          \
+                        int64_t ih = oh * stride - pad + ki;                   \
+                        int64_t iw = ow * stride - pad + kj;                   \
+                        offsets[ki * kernel + kj] =                            \
+                            (ih < 0 || ih >= h || iw < 0 || iw >= w)           \
+                                ? -1 : ih * sh + iw * sw;                      \
+                    }                                                          \
+                if (channel_inner) {                                           \
+                    for (k = 0; k < kk; ++k) {                                 \
+                        DST *dst = row + k;                                    \
+                        if (offsets[k] < 0) {                                  \
+                            for (c = 0; c < ch; ++c) dst[c * kk] = (DST)0;     \
+                        } else {                                               \
+                            const SRC *src = xi + offsets[k];                  \
+                            for (c = 0; c < ch; ++c)                           \
+                                dst[c * kk] = (DST)src[c * sc];                \
+                        }                                                      \
+                    }                                                          \
+                } else {                                                       \
+                    for (c = 0; c < ch; ++c) {                                 \
+                        const SRC *src = xi + c * sc;                          \
+                        DST *dst = row + c * kk;                               \
+                        for (k = 0; k < kk; ++k)                               \
+                            dst[k] = offsets[k] < 0                            \
+                                ? (DST)0 : (DST)src[offsets[k]];               \
+                    }                                                          \
+                }                                                              \
+            }                                                                  \
+    free(offsets);                                                             \
+    return 0;                                                                  \
+}
+
+DEFINE_IM2COL(im2col_f64_f64, double, double)
+DEFINE_IM2COL(im2col_f64_f32, double, float)
+DEFINE_IM2COL(im2col_f32_f64, float, double)
+DEFINE_IM2COL(im2col_f32_f32, float, float)

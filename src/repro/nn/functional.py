@@ -65,11 +65,10 @@ def im2col_batch(
     so the batched engine path sees the same codes as ``N`` single-image
     calls while gathering all patches in one strided copy.
 
-    This is the numpy reference implementation behind
-    ``repro.kernels.dispatch.im2col_pack`` — the engine's conv path goes
-    through the dispatcher (which may serve a compiled tier reproducing
-    these bytes *and* strides), while this function stays the always-
-    available ground truth the tiers are tested against.
+    This is the float reference's im2col.  The engine's conv path gathers
+    the same rows, already as its row-major GEMM operand, through
+    ``repro.kernels.dispatch.im2col_pack`` (tested row for row against
+    this function).
 
     The copy is gathered in ``(C*k*k, position)`` order — for unit stride
     the innermost axis is then a contiguous image row, so it runs at memcpy

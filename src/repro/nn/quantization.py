@@ -62,8 +62,10 @@ def quantize_unsigned_batch(x: np.ndarray, bits: int) -> tuple:
     :func:`quantize_unsigned` had been applied per image — so a batched
     engine run produces the same codes as ``N`` independent single-image
     runs while the downstream matmuls amortise over the whole batch.
-    Returns ``(values, scales)`` with ``values`` of ``x``'s shape (int64)
-    and ``scales`` of shape ``(N,)``.
+    Returns ``(values, scales)`` with ``values`` the integer codes as
+    float64 in ``x``'s shape and memory layout (exact: codes are far below
+    2**53, and the float GEMM operands are gathered from them without an
+    integer round trip) and ``scales`` of shape ``(N,)``.
     """
     if bits < 1:
         raise ValueError("unsigned quantisation needs at least 1 bit")
@@ -72,10 +74,12 @@ def quantize_unsigned_batch(x: np.ndarray, bits: int) -> tuple:
         raise ValueError("batched quantisation needs a leading batch axis")
     qmax = 2 ** bits - 1
     if x.size:
-        flat = x.reshape(x.shape[0], -1)
-        if float(flat.min()) < 0:
+        # reduce over the image axes in place: a reshape would copy the
+        # channel-last views conv layers hand on
+        image_axes = tuple(range(1, x.ndim))
+        if float(x.min()) < 0:
             raise ValueError("unsigned quantisation requires non-negative inputs")
-        maxes = flat.max(axis=1)
+        maxes = x.max(axis=image_axes)
     else:
         maxes = np.zeros(x.shape[0])
     scales = np.where(maxes > 0, maxes / qmax, 1.0)
@@ -83,7 +87,7 @@ def quantize_unsigned_batch(x: np.ndarray, bits: int) -> tuple:
     values = x / scales.reshape(shape)
     np.rint(values, out=values)
     np.clip(values, 0, qmax, out=values)
-    return values.astype(np.int64), scales
+    return values, scales
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,12 @@ def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
         choices=COMPUTE_DTYPES,
         default=COMPUTE_DTYPES[0],
         help=(
-            "packed-engine arithmetic precision: float64 (default, the "
-            "bit-exact historical path) or float32 (faster large-model "
-            "matmuls; digital recombination stays float64, and ideal-mode "
-            "layers that would lose integer exactness fall back per layer)"
+            "packed-engine payload precision: float64 (default) or float32 "
+            "(half the programmed memory; noisy/faulty analog layers run "
+            "their matmul and chain in single precision, noiseless ones "
+            "read out through exact levels either way; digital "
+            "recombination stays float64, and ideal-mode layers that would "
+            "lose integer exactness fall back per layer)"
         ),
     )
     parser.add_argument(
@@ -746,6 +748,11 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
                     "kind": trace.kind,
                     "crossbars": trace.crossbars,
                     "rel_error": _err(trace.rel_error),
+                    **(
+                        {"readout": trace.readout, "gemm_dtype": trace.gemm_dtype}
+                        if trace.readout is not None
+                        else {}
+                    ),
                     **(
                         {
                             "stuck_cells": trace.stuck_cells,

@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
-from repro.context import COMPUTE_DTYPES, ArchSpec, SimContext
+from repro.context import COMPUTE_DTYPES, NUMERICS_VERSION, ArchSpec, SimContext
 
 #: engine read-out modes a sweep may run (mirrors repro.engine.packed.MODES
 #: without importing the engine at grid-definition time)
@@ -67,8 +67,11 @@ class TrialSpec:
 
     @property
     def key(self) -> str:
-        """Stable content key of this trial (prefix of the spec's SHA-256)."""
-        canonical = json.dumps(asdict(self), sort_keys=True)
+        """Stable content key of this trial (prefix of the SHA-256 of the
+        spec and the engine's :data:`repro.context.NUMERICS_VERSION`)."""
+        canonical = json.dumps(
+            {**asdict(self), "numerics": NUMERICS_VERSION}, sort_keys=True
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def context(self) -> SimContext:
@@ -112,8 +115,9 @@ class TrialSpec:
         return ctx.for_trial(self.trial)
 
     def as_row(self) -> dict:
-        """The spec's fields as a flat JSON-ready dict (key included)."""
-        return {"key": self.key, **asdict(self)}
+        """The spec's fields as a flat JSON-ready dict (key and numerics
+        version included)."""
+        return {"key": self.key, "numerics": NUMERICS_VERSION, **asdict(self)}
 
 
 @dataclass(frozen=True)

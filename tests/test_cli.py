@@ -108,6 +108,26 @@ def test_run_json_schema(capsys):
         assert trace.keys() >= {"name", "kind", "crossbars", "rel_error"}
 
 
+@pytest.mark.parametrize(
+    "flags,readout,gemm_dtype",
+    [
+        ([], "levels", "float32"),
+        (["--compute-dtype", "float32"], "levels", "float32"),
+        (["--noise", "1"], "conductances", "float64"),
+        (["--stuck-on", "0.01"], "conductances", "float64"),
+        (["--mode", "ideal"], "ideal", "float64"),
+    ],
+)
+def test_run_json_reports_readout_path_and_gemm_dtype(capsys, flags, readout, gemm_dtype):
+    assert cli.main(["run", "--model", "tiny_cnn", "--json", *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    compute = [trace for trace in doc["layers"] if trace["kind"] in ("conv", "fc")]
+    assert compute and all(trace["readout"] == readout for trace in compute)
+    assert all(trace["gemm_dtype"] == gemm_dtype for trace in compute)
+    aux = [trace for trace in doc["layers"] if trace["kind"] not in ("conv", "fc")]
+    assert aux and all("readout" not in trace for trace in aux)
+
+
 def test_run_no_validate_omits_errors(capsys):
     assert cli.main(["run", "--model", "tiny_cnn", "--json", "--no-validate"]) == 0
     doc = json.loads(capsys.readouterr().out)

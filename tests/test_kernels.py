@@ -23,10 +23,10 @@ from repro.kernels.dispatch import (
     KernelError,
     ReadoutScalars,
     available,
+    cell_levels,
     im2col_pack,
     readout_fused,
     resolve,
-    slice_recombine,
 )
 from repro.nn.models import build_model
 
@@ -41,6 +41,7 @@ SCALARS = ReadoutScalars(
     full_scale_s=5.1e-7,
     lsb_s=2e-9,
     dot_max=4080.0,
+    level_coeff=1.2 * 5e-12 * 3e-6,
 )
 
 
@@ -141,16 +142,112 @@ def test_tier_handles_empty_blocks(tier):
     assert got.shape == charges.shape and got.size == 0
 
 
-@pytest.mark.parametrize("tier", COMPILED)
-def test_slice_recombine_matches_numpy(tier):
-    rng = np.random.default_rng(stable_seed("kernels", "recombine"))
-    estimates = rng.random((3, 2, 2, 19, 7))
+# -- the exact-level chain: bit-for-bit on every tier, float32 products too ---
+
+
+def _level_products(dtype, t=3, s=2, g=2, p=37, c=11):
+    rng = np.random.default_rng(stable_seed("kernels", "levels"))
+    return rng.integers(0, 4081, size=(t, s, g, p, c)).astype(dtype)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("saturation", [None, 0.25])
+def test_level_chain_matches_numpy_bitwise(tier, dtype, saturation):
+    """The level chain runs in float64 whatever the products' storage, so
+    even float32 products give bit-identical estimates and recombination."""
+    products = _level_products(dtype)
     shifts = _shifts()
-    ref = np.empty((2, 19, 7))
-    got = np.empty((2, 19, 7))
-    slice_recombine(shifts, estimates, ref, kernel="numpy")
-    slice_recombine(shifts, estimates, got, kernel=tier)
+    rec_ref = np.empty(products.shape[2:])
+    rec_got = np.empty(products.shape[2:])
+    ref = readout_fused(
+        products, None, SCALARS, saturation=saturation, shifts=shifts,
+        recombine_out=rec_ref, kernel="numpy",
+    )
+    work = products.copy()
+    got = readout_fused(
+        work, None, SCALARS, out=work, saturation=saturation, shifts=shifts,
+        recombine_out=rec_got, kernel=tier,
+    )
+    assert got is work and got.dtype == ref.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(rec_got, rec_ref)
+    # the level chain is the conductance chain on exact net charges
+    net = products.astype(np.float64) * SCALARS.level_coeff
+    offset_free = readout_fused(
+        net, np.zeros((3, 1, 2, 37, 1)), SCALARS, saturation=saturation, kernel="numpy"
+    )
+    np.testing.assert_array_equal(ref, offset_free.astype(dtype))
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+def test_level_chain_matches_numpy_on_strided_chunks(tier):
+    """Chunk tails: a products view and a strided recombine slice."""
+    products = _level_products(np.float32, g=1, p=24)[:, :, :, :13]
+    assert not products.flags.c_contiguous
+    shifts = _shifts()
+    full_ref, full_got = np.empty((1, 20, 11)), np.empty((1, 20, 11))
+    work_ref, work_got = products.copy(), products.copy()
+    for work, full, tier_name in ((work_ref, full_ref, "numpy"), (work_got, full_got, tier)):
+        readout_fused(
+            work, None, SCALARS, out=work, shifts=shifts,
+            recombine_out=full[:, 7:], kernel=tier_name,
+        )
+    np.testing.assert_array_equal(work_got, work_ref)
+    np.testing.assert_array_equal(full_got[:, 7:], full_ref[:, 7:])
+
+
+# -- cell levels: one pass, exact, layout kept, off-grid refused ---------------
+
+
+def _grid(dtype, order="F"):
+    """A (2, 40, 21) conductance stack on the default cell's level grid."""
+    cell = SimContext().arch.cell_spec()
+    rng = np.random.default_rng(stable_seed("kernels", "levels", "grid"))
+    levels = rng.integers(0, cell.levels, size=(2, 40, 21))
+    levels = np.asfortranarray(levels) if order == "F" else levels
+    g = levels.astype(dtype, order="K")
+    g *= g.dtype.type(cell.g_step_s)  # the pack_weights arithmetic
+    g += g.dtype.type(cell.g_min_s)
+    return cell, levels, g
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("src", [np.float64, np.float32])
+@pytest.mark.parametrize("dst", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_cell_levels_recover_programmed_levels(tier, src, dst, order):
+    cell, levels, g = _grid(src, order)
+    args = (cell.g_min_s, cell.g_step_s, cell.levels - 1, dst)
+    got = cell_levels(g, *args, kernel=tier)
+    ref = cell_levels(g, *args, kernel="numpy")
+    assert got.dtype == ref.dtype == np.dtype(dst)
+    # the conductances' memory layout, in the levels' itemsize
+    assert got.strides == ref.strides == tuple(
+        s // g.itemsize * got.itemsize for s in g.strides
+    )
+    np.testing.assert_array_equal(got, levels)
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_cell_levels_refuse_off_grid_cells(tier):
+    cell, _, g = _grid(np.float64)
+    args = (cell.g_min_s, cell.g_step_s, cell.levels - 1, np.float32)
+    for mutate in (
+        lambda a: a.__setitem__((1, 3, 4), a[1, 3, 4] * (1 + 1e-9)),  # varied
+        lambda a: a.__setitem__((0, 0, 0), cell.g_min_s - cell.g_step_s),  # < 0
+        lambda a: a.__setitem__((0, 5, 2), cell.g_max_s + cell.g_step_s),  # > max
+        lambda a: a.__setitem__((0, 1, 1), np.nan),
+    ):
+        bad = g.copy(order="K")
+        mutate(bad)
+        assert cell_levels(bad, *args, kernel=tier) is None
+    # a strided view falls back to the reference, same answer
+    view = g[:, ::2, :]
+    np.testing.assert_array_equal(
+        cell_levels(view, *args, kernel=tier), cell_levels(view, *args, kernel="numpy")
+    )
 
 
 # -- float32: within float rounding of the numpy float32 chain ----------------
@@ -170,7 +267,20 @@ def test_tier_matches_numpy_f32(tier, saturation):
     np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-4)
 
 
-# -- im2col: bytes and strides ------------------------------------------------
+# -- im2col: bytes, shape, strides and dtype ---------------------------------
+
+
+def _layouts(x):
+    """``x`` as the engine meets it: contiguous NCHW, a channel-last view
+    (a conv output's transpose), and a non-contiguous strided view."""
+    n, c, h, w = x.shape
+    channel_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    padded = np.zeros((n, c + 1, h + 2, 2 * w))
+    padded[:, 1:, 1:-1, ::2] = x
+    strided = padded[:, 1:, 1:-1, ::2]
+    for name, view in (("nchw", x), ("channel_last", channel_last), ("strided", strided)):
+        np.testing.assert_array_equal(view, x)
+        yield name, view
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -181,16 +291,39 @@ def test_tier_matches_numpy_f32(tier, saturation):
         ((1, 1, 7, 5), 3, 2, 0),
         ((1, 4, 6, 6), 1, 1, 0),
         ((2, 2, 5, 5), 5, 1, 2),
+        ((2, 6, 9, 7), 3, 2, 1),
+        ((3, 8, 4, 4), 1, 2, 0),
     ],
 )
 def test_im2col_matches_numpy(tier, shape, kernel, stride, pad):
+    """Every tier gathers the same GEMM operand: C-contiguous
+    ``(N * positions, C*K*K)`` rows in ``(c, ki, kj)`` column order, for
+    any input layout and either float output dtype; for a grouped conv,
+    group ``g``'s column block is the gather of its own channel slice."""
     rng = np.random.default_rng(stable_seed("kernels", "im2col", kernel, stride))
-    x = rng.normal(size=shape)
-    ref, rh, rw = im2col_pack(x, kernel, stride=stride, pad=pad, kernel="numpy")
-    got, gh, gw = im2col_pack(x, kernel, stride=stride, pad=pad, kernel=tier)
-    assert (gh, gw) == (rh, rw)
-    assert got.shape == ref.shape and got.strides == ref.strides
-    np.testing.assert_array_equal(got, ref)
+    x = rng.integers(0, 256, size=shape).astype(np.float64)
+    for name, view in _layouts(x):
+        for dtype in (None, np.float32, np.float64):
+            ref, rh, rw = im2col_pack(
+                x, kernel, stride=stride, pad=pad, dtype=dtype, kernel="numpy"
+            )
+            got, gh, gw = im2col_pack(view, kernel, stride=stride, pad=pad, dtype=dtype, kernel=tier)
+            assert (gh, gw) == (rh, rw), name
+            assert got.dtype == ref.dtype == np.dtype(dtype or np.float64), name
+            assert got.shape == ref.shape == (shape[0] * rh * rw, shape[1] * kernel**2)
+            assert got.strides == ref.strides and got.flags.c_contiguous, name
+            assert got.tobytes() == ref.tobytes(), name
+        groups = 2 if shape[1] % 2 == 0 else 1
+        width = got.shape[1] // groups
+        for g in range(groups):
+            members = view[:, g * shape[1] // groups : (g + 1) * shape[1] // groups]
+            part, _, _ = im2col_pack(members, kernel, stride=stride, pad=pad, kernel=tier)
+            np.testing.assert_array_equal(got[:, g * width : (g + 1) * width], part)
+    # the rows are the historical per-image patches (functional.im2col)
+    from repro.nn import functional as F
+
+    cols, oh, ow = F.im2col_batch(x, kernel, stride, pad)
+    np.testing.assert_array_equal(ref, cols.reshape(-1, cols.shape[2]))
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -300,12 +433,41 @@ def test_engine_outputs_are_tier_invariant(tier, noisy, monkeypatch):
 
 @pytest.mark.parametrize("tier", COMPILED)
 def test_engine_float32_outputs_are_tier_invariant(tier, monkeypatch):
+    """Noiseless (exact levels) and noisy (float32 conductance chain)."""
+    from repro.circuits.noise import HardwareNoiseConfig
+
     model = build_model("tiny_cnn")
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    _, ref = _run(model, SimContext(compute_dtype="float32"))
+    for noise in (None, HardwareNoiseConfig.scaled(1.0, seed=7)):
+        ctx = SimContext(compute_dtype="float32", noise=noise)
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        _, ref = _run(model, ctx)
+        monkeypatch.setenv("REPRO_KERNEL", tier)
+        _, got = _run(model, ctx)
+        np.testing.assert_array_equal(got.output, ref.output)
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+@pytest.mark.parametrize("mode,noise_scale", [("analog", 0.0), ("analog", 1.0), ("ideal", 0.0)])
+def test_engine_conv_gathers_never_fall_back_to_numpy(tier, mode, noise_scale, monkeypatch):
+    """Every conv of a batched forward takes the compiled gather: float
+    codes from the quantiser, channel-last activations from the conv
+    before, on every read-out path."""
+    from repro.circuits.noise import HardwareNoiseConfig
+    from repro.kernels import numpy_impl
+
+    calls = []
+    real = numpy_impl.im2col_pack
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
     monkeypatch.setenv("REPRO_KERNEL", tier)
-    _, got = _run(model, SimContext(compute_dtype="float32"))
-    np.testing.assert_array_equal(got.output, ref.output)
+    monkeypatch.setattr(numpy_impl, "im2col_pack", counted)
+    noise = HardwareNoiseConfig.scaled(noise_scale, seed=3) if noise_scale else None
+    executor = NetworkExecutor(build_model("resnet_smoke"), SimContext(noise=noise), mode=mode)
+    executor.run(executor.random_batch(2), validate=False)
+    assert calls == []
 
 
 # -- the environment this matrix actually covered -----------------------------

@@ -1,7 +1,10 @@
 """Packed-engine tests: the packed vectorized execution path pinned against
 the per-crossbar oracle of ``crossbar_oracle.py`` (noiseless, across cell
 splits, grouped convolutions, partial edge tiles and whole networks), the
-batch-dimension semantics and validation gating."""
+exact-level read-out against the conductance read-out, the batch-dimension
+semantics and validation gating."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from crossbar_oracle import tiled_matmul
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
+from repro.faults import FaultModel
 from repro.engine import (
     EngineError,
     NetworkExecutor,
@@ -112,6 +116,120 @@ def test_packed_rejects_bad_weights_and_codes():
         packed.matmul(np.full((2, 4), 256))  # > 8-bit input code
     with pytest.raises(EngineError):
         packed.matmul(np.zeros((2, 5), dtype=int))  # wrong row count
+
+
+def test_packed_rejects_non_integer_float_codes():
+    packed = PackedMatmul(np.zeros((4, 4), dtype=int), SimContext())
+    with pytest.raises(EngineError, match="integers"):
+        packed.matmul(np.full((2, 4), 1.5))
+    with pytest.raises(EngineError, match="integers"):
+        packed.matmul(np.array([[0.0, 1.0, np.nan, 2.0]]))
+    # integer-valued floats are codes like any other
+    np.testing.assert_array_equal(
+        packed.matmul(np.full((2, 4), 3.0)), packed.matmul(np.full((2, 4), 3))
+    )
+
+
+# ---------------------------------------------------------------------------
+# the two analog read-out paths: exact levels vs conductances
+# ---------------------------------------------------------------------------
+
+def _conductance_twin(packed: PackedMatmul) -> PackedMatmul:
+    """The same wired layer, forced onto the conductance read-out."""
+    twin = copy.copy(packed)
+    twin._levels = None
+    assert twin.readout_path == "conductances"
+    return twin
+
+
+@pytest.mark.parametrize(
+    "weight_bits,cell_bits",
+    [(4, 4), (8, 8), (8, 4), (8, 2), (16, 4)],
+)
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("chunk_bytes", [None, 4096])
+@pytest.mark.parametrize("saturation", [None, 0.3])
+def test_exact_level_path_matches_conductance_path(
+    weight_bits, cell_bits, grouped, chunk_bytes, saturation
+):
+    """On one noiseless layer the exact-level read-out agrees with the
+    conductance read-out to 1e-12 — partial row and column tiles, grouped
+    stacks, chunked or not, with read-out saturation clipping."""
+    arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
+    qmax = 2 ** (weight_bits - 1) - 1
+    shape = (3, 30, 8) if grouped else (40, 21)  # 2-3 row tiles, partial col tile
+    q = RNG.integers(-qmax, qmax + 1, size=shape)
+    codes = RNG.integers(0, 2 ** arch.input_bits, size=(50, int(np.prod(shape[:-1]))))
+    faults = None if saturation is None else FaultModel(readout_saturation=saturation)
+    ctx = SimContext(arch=arch, chunk_bytes=chunk_bytes, faults=faults)
+    packed = PackedMatmul(q, ctx, "analog")
+    assert packed.readout_path == "levels"
+    assert packed.gemm_dtype == np.float32  # dot_max <= 255 * 255 * 16 < 2**24
+    levels = packed.matmul(codes)
+    conductances = _conductance_twin(packed).matmul(codes)
+    assert relative_error(levels, conductances) <= 1e-12
+    if saturation is None:  # and both recover the exact integer products
+        stack = q.reshape(-1, *shape[-2:])
+        rows = stack.shape[1]
+        exact = np.hstack(
+            [codes[:, g * rows : (g + 1) * rows] @ w for g, w in enumerate(stack)]
+        )
+        assert relative_error(levels, exact) <= 1e-9
+
+
+def test_exact_level_path_widens_to_float64_past_the_float32_bound():
+    """16-bit inputs push dot_max past 2**24: the level GEMM runs in float64."""
+    arch = ArchSpec(weight_bits=16, cell_bits=4, input_bits=16)
+    q = RNG.integers(-(2 ** 15) + 1, 2 ** 15, size=(300, 21))  # 2 row tiles
+    codes = RNG.integers(0, 2 ** 16, size=(7, 300))
+    packed = PackedMatmul(q, SimContext(arch=arch), "analog")
+    assert packed.readout_path == "levels" and packed.gemm_dtype == np.float64
+    result = packed.matmul(codes)
+    assert relative_error(result, _conductance_twin(packed).matmul(codes)) <= 1e-12
+    assert relative_error(result, codes @ q) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "ctx,path",
+    [
+        (SimContext(), "levels"),
+        (SimContext(noise=HardwareNoiseConfig.scaled(0.0, seed=1)), "levels"),
+        # sources the packed engine does not model leave the grid intact
+        (SimContext(noise=HardwareNoiseConfig(seed=1, dtc_sigma=0.0, reram_conductance_sigma=0.0)), "levels"),
+        (SimContext(noise=HardwareNoiseConfig(seed=1, dtc_sigma=0.0)), "conductances"),
+        (SimContext(noise=HardwareNoiseConfig(seed=1, reram_conductance_sigma=0.0)), "conductances"),
+        (SimContext(faults=FaultModel(stuck_on_fraction=0.05, seed=1)), "conductances"),
+        (SimContext(faults=FaultModel(drift_nu=0.1, drift_time_s=10.0)), "conductances"),
+        (SimContext(faults=FaultModel(readout_saturation=0.5)), "levels"),
+    ],
+)
+def test_readout_path_follows_the_noise_and_fault_configuration(ctx, path):
+    q = RNG.integers(-127, 128, size=(40, 21))
+    assert PackedMatmul(q, ctx, "analog").readout_path == path
+    assert PackedMatmul(q, ctx, "ideal").readout_path == "ideal"
+
+
+def test_off_grid_payload_keeps_the_conductance_path():
+    ctx = SimContext(arch=ArchSpec(rows=16, cols=16))
+    q = RNG.integers(-127, 128, size=(40, 21))
+    packed = PackedMatmul(q, ctx, "analog")
+    nudged = [c.copy() for c in packed._conductances]
+    nudged[0][0, 3, 5] *= 1.0 + 1e-9
+    rewired = PackedMatmul.from_packed(None, nudged, ctx, "analog")
+    assert rewired.readout_path == "conductances"
+
+
+def test_noiseless_float32_run_equals_the_float64_run():
+    """The exact-level GEMM does not depend on the compute dtype, so a
+    noiseless float32 network run is bit-identical to the float64 one."""
+    network = _grouped_conv_net()
+    x = NetworkExecutor(network, SimContext()).random_batch(2)
+    runs = [
+        NetworkExecutor(network, SimContext(compute_dtype=dtype)).run(x)
+        for dtype in ("float64", "float32")
+    ]
+    np.testing.assert_array_equal(runs[0].output, runs[1].output)
+    assert {t.gemm_dtype for r in runs for t in r.traces if t.readout} == {"float32"}
 
 
 def test_packed_stores_true_size_not_padded_tiles():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.noise import HardwareNoiseConfig
-from repro.context import SimContext
+from repro.context import NUMERICS_VERSION, SimContext
 from repro.engine import NetworkExecutor
 from repro.nn.models import build_model
 from repro.sweep import (
@@ -170,6 +170,28 @@ def test_sweep_resume_completes_a_partial_store(tmp_path):
     # noise-0 trial 1 reuses the stored trial-0 run; only the 2 noisy trials execute
     assert resumed.executed == 2
     assert resumed.rows == complete.rows
+
+
+def test_resume_recomputes_rows_of_another_numerics_version(tmp_path, monkeypatch):
+    """The numerics version keys every trial and is written on every row,
+    so resuming over a store written under another version recomputes
+    every trial instead of mixing the old rows into the outcome."""
+    import repro.sweep.grid as grid_module
+
+    store = SweepStore(tmp_path / "rows.jsonl")
+    monkeypatch.setattr(grid_module, "NUMERICS_VERSION", NUMERICS_VERSION - 1)
+    old = run_sweep(TINY_GRID, store, workers=1)
+    assert {row["numerics"] for row in old.rows} == {NUMERICS_VERSION - 1}
+    monkeypatch.undo()
+    resumed = run_sweep(TINY_GRID, store, workers=1, resume=True)
+    assert resumed.skipped == 0 and resumed.computed == len(TINY_GRID)
+    assert {row["numerics"] for row in resumed.rows} == {NUMERICS_VERSION}
+    assert not {row["key"] for row in resumed.rows} & {row["key"] for row in old.rows}
+    # only the key and the version differ: the engine itself did not change
+    def strip(row):
+        return {k: v for k, v in row.items() if k not in ("key", "numerics")}
+
+    assert [strip(row) for row in resumed.rows] == [strip(row) for row in old.rows]
 
 
 def test_noiseless_grid_points_share_one_engine_run(tmp_path):
