@@ -126,30 +126,7 @@ DEFINE_READOUT_FUSED(readout_fused_f64, double)
 DEFINE_READOUT_FUSED(readout_fused_f32, float)
 
 /* The chain fed by exact integer level products (stored as REAL, run in
- * double); the estimates are written back narrowed to REAL.  The chain
- * body is one inline function so the unit-stride loop of the engine's
- * packed layout and the general strided loop share it; the ternary clamps
- * keep the unit-stride loop vectorisable (same IEEE results, NaN kept). */
-typedef struct {
-    double level_coeff, capacitance, v_threshold, phase2_scale, full_scale,
-        lsb, saturation;
-    int32_t has_saturation;
-} level_chain_t;
-
-static inline double level_chain(double v, const level_chain_t *k)
-{
-    v *= k->level_coeff;
-    v = v < 0.0 ? 0.0 : v;
-    v /= k->capacitance;
-    v = k->v_threshold - v;
-    v = v < 0.0 ? 0.0 : v;
-    v *= k->phase2_scale;
-    v = k->full_scale - v;
-    v /= k->lsb;
-    if (k->has_saturation) v = v > k->saturation ? k->saturation : v;
-    return v;
-}
-
+ * double); the estimates are written back narrowed to REAL. */
 #define DEFINE_READOUT_LEVELS(NAME, REAL)                                      \
 API void NAME(                                                                 \
     REAL *products,                                                            \
@@ -162,10 +139,6 @@ API void NAME(                                                                 \
     const double *shifts, double *rec_out,                                     \
     int64_t rec_sg, int64_t rec_sp, int64_t rec_sc)                            \
 {                                                                              \
-    const level_chain_t k = {level_coeff, capacitance, v_threshold,            \
-                             phase2_scale, full_scale, lsb, saturation,        \
-                             has_saturation};                                  \
-    int unit = shifts != NULL && ch_sc == 1 && rec_sc == 1;                    \
     int64_t t, s, g, p, c;                                                     \
     if (shifts != NULL)                                                        \
         zero_rec_out(rec_out, n_groups, n_pos, n_cols, rec_sg, rec_sp, rec_sc);\
@@ -178,16 +151,16 @@ API void NAME(                                                                 \
                         t * ch_st + s * ch_ss + g * ch_sg + p * ch_sp;         \
                     double *orow = (shifts != NULL)                            \
                         ? rec_out + g * rec_sg + p * rec_sp : NULL;            \
-                    if (unit) {                                                \
-                        for (c = 0; c < n_cols; ++c) {                         \
-                            double v = level_chain((double)row[c], &k);        \
-                            row[c] = (REAL)v;                                  \
-                            orow[c] += weight * v;                             \
-                        }                                                      \
-                        continue;                                              \
-                    }                                                          \
                     for (c = 0; c < n_cols; ++c) {                             \
-                        double v = level_chain((double)row[c * ch_sc], &k);    \
+                        double v = (double)row[c * ch_sc] * level_coeff;       \
+                        if (v < 0.0) v = 0.0;                                  \
+                        v /= capacitance;                                      \
+                        v = v_threshold - v;                                   \
+                        if (v < 0.0) v = 0.0;                                  \
+                        v *= phase2_scale;                                     \
+                        v = full_scale - v;                                    \
+                        v /= lsb;                                              \
+                        if (has_saturation && v > saturation) v = saturation;  \
                         row[c * ch_sc] = (REAL)v;                              \
                         if (orow != NULL)                                      \
                             orow[c * rec_sc] += weight * v;                    \
@@ -247,10 +220,13 @@ DEFINE_CELL_LEVELS(cell_levels_f64_f32, double, uint64_t, float, 675539944105574
 DEFINE_CELL_LEVELS(cell_levels_f32_f64, float, uint32_t, double, 12582912.0f)
 DEFINE_CELL_LEVELS(cell_levels_f32_f32, float, uint32_t, float, 12582912.0f)
 
+#define PAD_OFFSET INT64_MIN
+
 /* im2col gather: x (N, CH, H, W) with any element strides -> the GEMM
  * operand cols (N*out_h*out_w, CH*K*K), C-contiguous, zero-padded borders,
  * columns in (c, ki, kj) order.  Pure data movement plus one exact cast.
- * Each output row resolves its K*K source offsets once (-1 = padding);
+ * Each output row resolves its K*K source offsets once (PAD_OFFSET marks
+ * padding; a real offset may be negative on a flipped view);
  * the channel loop runs innermost when channels are the densest source
  * axis (channel-last views), outermost otherwise. */
 #define DEFINE_IM2COL(NAME, SRC, DST)                                          \
@@ -277,12 +253,12 @@ API int32_t NAME(                                                              \
                         int64_t iw = ow * stride - pad + kj;                   \
                         offsets[ki * kernel + kj] =                            \
                             (ih < 0 || ih >= h || iw < 0 || iw >= w)           \
-                                ? -1 : ih * sh + iw * sw;                      \
+                                ? PAD_OFFSET : ih * sh + iw * sw;              \
                     }                                                          \
                 if (channel_inner) {                                           \
                     for (k = 0; k < kk; ++k) {                                 \
                         DST *dst = row + k;                                    \
-                        if (offsets[k] < 0) {                                  \
+                        if (offsets[k] == PAD_OFFSET) {                        \
                             for (c = 0; c < ch; ++c) dst[c * kk] = (DST)0;     \
                         } else {                                               \
                             const SRC *src = xi + offsets[k];                  \
@@ -295,7 +271,7 @@ API int32_t NAME(                                                              \
                         const SRC *src = xi + c * sc;                          \
                         DST *dst = row + c * kk;                               \
                         for (k = 0; k < kk; ++k)                               \
-                            dst[k] = offsets[k] < 0                            \
+                            dst[k] = offsets[k] == PAD_OFFSET                  \
                                 ? (DST)0 : (DST)src[offsets[k]];               \
                     }                                                          \
                 }                                                              \

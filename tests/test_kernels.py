@@ -272,13 +272,20 @@ def test_tier_matches_numpy_f32(tier, saturation):
 
 def _layouts(x):
     """``x`` as the engine meets it: contiguous NCHW, a channel-last view
-    (a conv output's transpose), and a non-contiguous strided view."""
+    (a conv output's transpose), a non-contiguous strided view, and a view
+    with negative channel and row strides."""
     n, c, h, w = x.shape
     channel_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     padded = np.zeros((n, c + 1, h + 2, 2 * w))
     padded[:, 1:, 1:-1, ::2] = x
     strided = padded[:, 1:, 1:-1, ::2]
-    for name, view in (("nchw", x), ("channel_last", channel_last), ("strided", strided)):
+    flipped = np.ascontiguousarray(x[:, ::-1, ::-1])[:, ::-1, ::-1]
+    for name, view in (
+        ("nchw", x),
+        ("channel_last", channel_last),
+        ("strided", strided),
+        ("flipped", flipped),
+    ):
         np.testing.assert_array_equal(view, x)
         yield name, view
 

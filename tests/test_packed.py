@@ -12,7 +12,6 @@ from crossbar_oracle import tiled_matmul
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
-from repro.faults import FaultModel
 from repro.engine import (
     EngineError,
     NetworkExecutor,
@@ -21,6 +20,7 @@ from repro.engine import (
     relative_error,
     run_network,
 )
+from repro.faults import FaultModel
 from repro.nn import functional as F
 from repro.nn.layers import TensorShape
 from repro.nn.models import build_model
