@@ -3,10 +3,11 @@
 Contract (from the PR-7 layout-discard bugfix and the pinned-float64
 digital-recombination design in ``engine/packed.py``):
 
-* a packed payload array (bit-sliced codes, programmed conductances) must
-  never pass through ``np.ascontiguousarray``/``np.asfortranarray`` — those
-  silently re-copy the array into one fixed order and throw away the
-  F-order layout the executor arranged for BLAS;
+* a packed payload array (bit-sliced cell levels, encoded codes, decoded
+  conductances) must never pass through
+  ``np.ascontiguousarray``/``np.asfortranarray`` — those silently re-copy
+  the array into one fixed order and throw away the F-order layout the
+  executor arranged for BLAS;
 * ``payload.astype(...)`` must carry ``order="K"`` so the cast preserves
   whatever layout the payload has;
 * the digital recombination of slice products is pinned to float64 —
@@ -26,14 +27,16 @@ from typing import List, Optional, Sequence, Set
 
 from repro.analysis.core import Finding, ImportMap, Rule, SourceFile, dotted, leaf_name
 
-#: identifiers that hold packed payloads (bit-sliced codes / conductances)
+#: identifiers that hold packed payloads (cell levels / codes / conductances)
 PAYLOAD_NAMES: Set[str] = {
     "q",
     "encoded",
     "encoded_flat",
     "_encoded",
+    "levels",
+    "slice_levels",
+    "_levels",
     "conductances",
-    "slice_conductances",
     "_conductances",
     "payload",
 }

@@ -9,7 +9,7 @@ counts them, and pushes real activations through the
 
 1. per-layer weight programming — symmetric ``weight_bits`` quantisation,
    offset encoding and the bit-cell slice split into packed per-slice
-   tensors (:mod:`repro.engine.packed`),
+   integer cell levels (:mod:`repro.engine.packed`),
 2. im2col slicing of the (unsigned-quantised) input activations,
 3. time-domain dot products batched over input columns *and* over the
    images of a batch, with optional :mod:`repro.circuits.noise` injection,
@@ -127,9 +127,10 @@ class ExecutionResult:
     total size of simultaneously live activations during the engine pass
     (the quantity liveness-based freeing bounds; it excludes the float
     reference activations a validated run additionally holds).
-    ``peak_wired_bytes`` is the maximum weight-payload bytes wired for
-    execution at once: for a resident executor that is every layer's
-    programmed tensors for the whole run, for a streamed one
+    ``peak_wired_bytes`` is the maximum weight bytes wired for execution at
+    once (the tensors the GEMMs read, see
+    :attr:`NetworkExecutor.programmed_bytes`): for a resident executor that
+    is every layer's wired tensors for the whole run, for a streamed one
     (``NetworkExecutor(..., stream=True)``) it is the single largest
     layer — the deterministic quantity the streaming memory bound rests
     on, independent of allocator/OS noise.
@@ -172,7 +173,7 @@ def program_layer(
 
     Quantises the layer's weights per output channel, lays them out as
     im2col matmul matrices and runs the offset-encode/bit-slice packing of
-    :func:`repro.engine.packed.pack_weights`.
+    :func:`repro.engine.packed.pack_weights` down to integer cell levels.
     The result is a plain-array :class:`~repro.engine.state.LayerState` that
     saves, memory-maps and ships across processes; wiring it back into an
     executable layer (:class:`_MappedComputeLayer`) is cheap.
@@ -200,9 +201,11 @@ def program_layer(
     else:  # pragma: no cover - guarded by validate_supported
         raise EngineError(f"layer {inst.name!r} is not a compute layer")
 
-    # all groups stacked on one leading axis: (groups, rows, group_cols)
-    q = np.stack(matrices).astype(np.int64, copy=False)
-    encoded, conductances = pack_weights(q, arch, mode, compute_dtype)
+    # all groups stacked on one leading axis, in the quantiser's narrow
+    # integer dtype: (groups, rows, group_cols)
+    q = np.stack(matrices)
+    encoded, levels = pack_weights(q, arch, mode, compute_dtype)
+    cell = arch.cell_spec()
     return LayerState(
         name=inst.name,
         index=inst.index,
@@ -210,13 +213,34 @@ def program_layer(
         out_channels=out_channels,
         n_groups=n_groups,
         w_scales=quant.scales,
+        g_min_s=cell.g_min_s,
+        g_step_s=cell.g_step_s,
+        compute_dtype=compute_dtype,
         bias=p.bias,
         stride=stride,
         pad=pad,
         kernel=kernel,
         encoded=encoded,
-        conductances=conductances,
+        levels=levels,
     )
+
+
+def check_params(params: NetworkParams, network: Network, seed: int) -> None:
+    """Reject parameters generated for another network or seed.
+
+    A state programmed from them would carry the request's model and seed,
+    hence its content key, over a different payload — and a cache would
+    serve it to every later request for the genuine configuration.
+    """
+    mismatches = []
+    if params.network_name != network.name:
+        mismatches.append(f"network {params.network_name!r} != {network.name!r}")
+    if params.seed != seed:
+        mismatches.append(f"seed {params.seed} != {seed}")
+    if mismatches:
+        raise EngineError(
+            "parameters do not match this request: " + "; ".join(mismatches)
+        )
 
 
 def program(
@@ -231,15 +255,19 @@ def program(
     :class:`~repro.engine.state.ProgrammedState` —
     the artifact the paper's economics revolve around: built once, then
     executed many times via :meth:`NetworkExecutor.from_state`, saved to
-    disk, or shared across processes.  The state is noise-free (base
-    conductances); programming variation, which varies per Monte-Carlo
-    trial, is applied at wiring time from the trial's noise streams.
+    disk, or shared across processes.  The state is noise-free (base cell
+    levels); programming variation, which varies per Monte-Carlo trial, is
+    applied at wiring time from the trial's noise streams.  ``params`` must
+    have been generated for ``network`` and ``ctx.seed``.
     """
     if mode not in MODES:
         raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
     ctx = ctx or SimContext()
     validate_supported(network)
-    params = params or NetworkParams(network, ctx.seed)
+    if params is None:
+        params = NetworkParams(network, ctx.seed)
+    else:
+        check_params(params, network, ctx.seed)
     layers = [
         program_layer(inst, params, ctx.arch, mode, ctx.compute_dtype)
         for inst in network.compute_instances
@@ -298,7 +326,7 @@ def _layer_crossbars(state: LayerState, arch) -> int:
     (reading a memory-mapped payload's ``.shape`` touches no data pages).
     Matches :attr:`PackedMatmul.crossbars`: ``groups x row_tiles x col_tiles``.
     """
-    payload = state.encoded if state.encoded is not None else state.conductances[0]
+    payload = state.encoded if state.encoded is not None else state.levels[0]
     n_groups, rows_needed, group_cols = payload.shape
     row_tiles = math.ceil(rows_needed / arch.rows)
     col_tiles = math.ceil(group_cols / arch.weights_per_col_tile)
@@ -320,7 +348,7 @@ class _MappedComputeLayer:
         # noise scopes derive from the layer index, so noisy draws are
         # independent of how many executors were constructed before this one
         self._packed = PackedMatmul.from_packed(
-            state.encoded, state.conductances, ctx, mode, salt=state.index
+            state.encoded, state.levels, ctx, mode, salt=state.index
         )
 
     @property
@@ -405,7 +433,8 @@ class NetworkExecutor:
         ``"analog"`` (full time-domain chains) or ``"ideal"`` (exact tile
         read-out; isolates quantisation error from analog error).
     params:
-        Optional pre-built parameters; defaults to
+        Optional pre-built parameters, generated for ``network`` and
+        ``ctx.seed`` (anything else is an :class:`EngineError`); defaults to
         ``NetworkParams(network, ctx.seed)``.
     state:
         Optional pre-programmed :class:`~repro.engine.state.ProgrammedState`
@@ -444,7 +473,11 @@ class NetworkExecutor:
         self.ctx = ctx or SimContext()
         self.mode = mode
         validate_supported(network)
-        self.params = params or NetworkParams(network, self.ctx.seed)
+        if params is None:
+            params = NetworkParams(network, self.ctx.seed)
+        else:
+            check_params(params, network, self.ctx.seed)
+        self.params = params
         self.mapping = self.ctx.map_network(network)
         if state is None:
             state = program(network, self.ctx, mode, params=self.params)
@@ -483,7 +516,7 @@ class NetworkExecutor:
         ``network`` defaults to rebuilding the state's model from the zoo;
         ``ctx`` defaults to a noise-free context matching the state (pass
         one with a noise model to apply per-trial programming variation on
-        top of the stored base conductances — the Monte-Carlo path).  The
+        top of the decoded base conductances — the Monte-Carlo path).  The
         context's architecture, seed and compute dtype must match the
         state's.  ``stream=True`` wires nothing up front and executes
         layer-by-layer against the state's backing files (see the
@@ -510,13 +543,15 @@ class NetworkExecutor:
 
     @property
     def programmed_bytes(self) -> int:
-        """Resident bytes of the programmed weight state across all layers.
+        """Bytes the wired layers hold for their GEMMs, across all layers.
 
-        The per-slice conductance tensors (or, in ideal mode, the encoded
-        level matrices).  A streaming executor wires nothing up front, so
-        this reports the backing state's payload bytes (for a
-        memory-mapped state those live on disk, not in RAM —
-        ``ExecutionResult.peak_wired_bytes`` is the resident bound there).
+        Per layer: the cell levels in the GEMM dtype (exact-level path),
+        the decoded conductances (conductance path) or the encoded matrix
+        (ideal mode) — see :attr:`repro.engine.packed.PackedMatmul.packed_bytes`.
+        A streaming executor wires nothing up front, so this reports the
+        backing state's stored payload bytes (:attr:`ProgrammedState.nbytes`;
+        for a memory-mapped state those live on disk, not in RAM —
+        ``ExecutionResult.peak_wired_bytes`` is the wired bound there).
         """
         if self.stream:
             return self.state.nbytes

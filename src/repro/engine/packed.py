@@ -8,11 +8,12 @@ time-domain chains of :mod:`repro.circuits.timing` — but stores and
 executes the layer as a whole instead of as a grid of crossbar objects:
 
 * the weights of **all tiles of all groups** are packed into one contiguous
-  conductance tensor per bit-cell slice, shaped ``(groups, rows_needed,
-  group_cols)`` — partial tiles live at their true ``height x width`` rather
-  than zero-padded ``arch.rows x arch.cols`` arrays, which for a model like
-  vgg_d shrinks programmed state from thousands of padded 256x256 int64 +
-  float64 crossbars to ``n_slices`` float64 tensors the size of the weights,
+  integer cell-level tensor per bit-cell slice, shaped ``(groups,
+  rows_needed, group_cols)`` — partial tiles live at their true ``height x
+  width`` rather than zero-padded ``arch.rows x arch.cols`` arrays, which
+  for a model like vgg_d shrinks programmed state from thousands of padded
+  256x256 int64 + float64 crossbars to ``n_slices`` one-byte tensors the
+  size of the weights (a cell's conductance is ``g_min + level * g_step``),
 * one batched ``codes @ G`` matmul per row-tile slice replaces the Python
   loop over ``row_tiles x col_tiles x slices`` tile objects (the column-tile
   axis vanishes entirely: a packed slice holds every output column), and
@@ -30,19 +31,20 @@ An analog layer reads out along one of two paths, chosen at wiring:
 
 * **exact levels** — whenever the cells sit exactly on the level grid (no
   conductance variation, no DTC jitter, no stuck or drift faults; read-out
-  saturation is fine), each slice's integer cell levels are derived once
-  (:func:`repro.kernels.dispatch.cell_levels`) and every (row tile, slice)
-  GEMM multiplies integer codes by integer levels.  Every partial sum is
-  an integer no larger than the chain's ``dot_max``, so the GEMM runs in
+  saturation is fine), each slice's stored cell levels are cast once to
+  the GEMM dtype and every (row tile, slice) GEMM multiplies integer codes
+  by integer levels.  Every partial sum is an integer no larger than the
+  chain's ``dot_max``, so the GEMM runs in
   float32 when ``dot_max`` is below float32's exactness bound (float64
   otherwise) and is exact whatever BLAS's summation order or thread
   count.  The chain then starts from the net charge ``v_dd * t_del *
   g_step * P``: on an unperturbed grid the G_min reference column cancels
   exactly, so there is no delay sum to subtract;
 * **conductances** — with programming variation, DTC jitter or cell
-  faults, the GEMM multiplies scaled delays by the (perturbed)
-  conductances in the compute dtype and the reference column is
-  subtracted through the per-tile delay sums, as the circuit does.
+  faults, the levels are decoded to conductances in the compute dtype
+  (:func:`level_conductances`) and perturbed, the GEMM multiplies scaled
+  delays by them and the reference column is subtracted through the
+  per-tile delay sums, as the circuit does.
 
 Noiseless, the packed path matches a per-crossbar reference built from
 :class:`repro.circuits.reram.ReRAMCrossbar` and
@@ -65,7 +67,7 @@ import numpy as np
 from repro.circuits.timing import TimeDomainChainSpec
 from repro.context import ArchSpec, SimContext
 from repro.engine.errors import EngineError
-from repro.kernels.dispatch import cell_levels, readout_fused
+from repro.kernels.dispatch import readout_fused
 
 #: engine read-out modes: ``"analog"`` runs the two-phase time-domain
 #: chains, ``"ideal"`` reads the same programmed weights exactly
@@ -145,40 +147,38 @@ def pack_weights(
     """The expensive, noise-free half of packed programming.
 
     Offset-encodes the ``(groups, rows, group_cols)`` signed quantised
-    weights and, in ``"analog"`` mode, bit-slices them into the per-slice
-    *base* conductance tensors (no programming variation — that is applied
-    per executor, so one packed payload serves every noise realisation).
-    Returns ``(encoded, conductances)``: exactly one is populated —
-    ``encoded`` for ``"ideal"`` mode, the conductance list for ``"analog"``.
+    weights (any signed integer dtype, values in ``±(2**(weight_bits-1) -
+    1)``) and, in ``"analog"`` mode, bit-slices them into the per-slice
+    integer cell levels — what the chip holds after its one programming
+    pass; :func:`level_conductances` turns them into the *base* (noise-free)
+    conductances ``g_min + level * g_step``.  Returns ``(encoded, levels)``:
+    exactly one is populated — the float ``encoded`` matrix for ``"ideal"``
+    mode, the level list for ``"analog"``.  Levels are unsigned integers,
+    ``uint8`` while ``cell_bits <= 8``.
 
-    ``compute_dtype`` (:data:`repro.context.COMPUTE_DTYPES`) selects the
-    storage/arithmetic precision of the packed tensors.  ``"float32"``
-    halves the payload and switches the conductance-path matmuls to
-    single-precision BLAS (the exact-level path derives its own levels
-    whatever the payload dtype); in ``"ideal"`` mode the request is
+    ``compute_dtype`` (:data:`repro.context.COMPUTE_DTYPES`) is the
+    precision of the ideal-mode payload (analog levels are exact integers
+    whatever the precision the layer later computes in).  The request is
     honoured only when the layer's worst-case product sum stays below the
-    dtype's exactness
-    bound (:data:`_EXACT_FLOAT_BOUNDS`) — otherwise the layer silently
-    falls back to float64 storage so exact integer read-out is never
-    broken.  The chosen dtype is observable on the returned tensors (and
-    as :attr:`PackedMatmul.compute_dtype` after wiring).
+    dtype's exactness bound (:data:`_EXACT_FLOAT_BOUNDS`) — otherwise the
+    layer silently falls back to float64 storage so exact integer read-out
+    is never broken.  The chosen dtype is observable on ``encoded`` (and as
+    :attr:`PackedMatmul.compute_dtype` after wiring).
 
     This is the payload :class:`repro.engine.state.ProgrammedState` snapshots
     and :meth:`PackedMatmul.from_packed` rewires without recomputation.
 
-    The elementwise passes run on a **flat memory-order view** of the
-    stack.  ``q`` arrives Fortran-ordered (a stack of ``.T`` im2col
-    matrices), and ufunc loops over such 3-D stacks degrade badly — tens
-    of seconds per vgg_d FC layer, ~20x the sequential-walk cost — because
-    the dimension with the huge stride defeats the iterator's loop
-    coalescing.  A 1-D view walks the same bytes sequentially, and
-    reshaping the results back **in the same order** reproduces the exact
-    bytes *and* the exact layout of the direct computation — layout
-    matters downstream, because BLAS picks summation paths by operand
-    memory order.  Both branches preserve that layout: the ideal-mode
-    encoded matrix keeps ``q``'s order via an order-preserving ``astype``
-    (it used to be forced C-contiguous, silently discarding the F-order
-    this docstring promises).
+    The integer passes run on a **flat memory-order view** of the stack, in
+    the unsigned integer type of the weights' width (the offset encoding
+    then is a wrapping add).  ``q`` arrives Fortran-ordered (a stack of
+    ``.T`` im2col matrices), and ufunc loops over such 3-D stacks degrade
+    badly — tens of seconds per vgg_d FC layer, ~20x the sequential-walk
+    cost — because the dimension with the huge stride defeats the
+    iterator's loop coalescing.  A 1-D view walks the same bytes
+    sequentially, and reshaping the results back **in the same order**
+    gives every level tensor (and the ideal ``encoded`` matrix) ``q``'s
+    memory layout — layout matters downstream, because BLAS picks summation
+    paths by operand memory order.
     """
     dtype = np.dtype(compute_dtype)
     if dtype not in _EXACT_FLOAT_BOUNDS:
@@ -186,12 +186,14 @@ def pack_weights(
             f"unsupported packed compute dtype {dtype}; "
             f"choose from: {', '.join(str(d) for d in _EXACT_FLOAT_BOUNDS)}"
         )
+    unsigned = np.min_scalar_type(2 ** arch.weight_bits - 1)
+    q = q.astype(f"i{unsigned.itemsize}", order="K", copy=False)
     flat = _flat_memory_view(q)
     if flat is None:  # non-contiguous input: direct (strided) fallback
         flat = q
-    offset = 2 ** (arch.weight_bits - 1)
-    encoded_flat = flat + offset  # unsigned levels, memory order
-    encoded = _like(encoded_flat, q)  # (G, R, C)
+    # q + offset lies in [1, 2**weight_bits - 1], so the wrapping unsigned
+    # add is exact
+    encoded_flat = flat.view(unsigned) + unsigned.type(2 ** (arch.weight_bits - 1))
     if mode == "ideal":
         # The ideal read-out is linear, so the slice cascade recombines
         # back into the encoded matrix and one matmul suffices.  Per-layer
@@ -199,23 +201,35 @@ def pack_weights(
         # worst-case product sum fits the 24-bit mantissa.
         if _worst_product_sum(arch, q.shape[1]) >= _EXACT_FLOAT_BOUNDS[dtype]:
             dtype = np.dtype(np.float64)
-        # order='K' keeps q's memory layout (the F-ordered im2col stack)
-        return encoded.astype(dtype, order="K"), []
-    cell = arch.cell_spec()
-    mask = 2 ** arch.cell_bits - 1
-    conductances: List[np.ndarray] = []
+        return _like(encoded_flat.astype(dtype, order="K"), q), []
+    level_dtype = np.min_scalar_type(2 ** arch.cell_bits - 1)
+    mask = unsigned.type(2 ** arch.cell_bits - 1)
+    levels: List[np.ndarray] = []
     for s in range(arch.cols_per_weight):
-        levels = (encoded_flat >> (arch.cell_bits * s)) & mask
-        # same map as ReRAMCellSpec.weight_to_conductance, without the
-        # range scan (the mask guarantees valid levels) and with in-place
-        # scaling so deep models don't pay an extra weights-sized
-        # temporary per slice
-        slice_conductances = levels.astype(dtype)
-        del levels
-        slice_conductances *= dtype.type(cell.g_step_s)
-        slice_conductances += dtype.type(cell.g_min_s)
-        conductances.append(_like(slice_conductances, q))
-    return None, conductances
+        slice_levels = encoded_flat >> unsigned.type(arch.cell_bits * s)
+        slice_levels &= mask
+        levels.append(_like(slice_levels.astype(level_dtype, order="K", copy=False), q))
+    return None, levels
+
+
+def level_conductances(
+    levels: np.ndarray, g_min: float, g_step: float, dtype: Union[str, np.dtype]
+) -> np.ndarray:
+    """Base conductances ``g_min + level * g_step`` of one level tensor.
+
+    A fresh ``dtype`` array in ``levels``' shape and memory layout, from the
+    arithmetic programming has always used (cast, scale by ``g_step``, add
+    ``g_min``, in ``dtype``), so the bytes do not depend on whether the
+    levels were just packed or memory-mapped from a saved state.
+    """
+    dtype = np.dtype(dtype)
+    flat = _flat_memory_view(levels)
+    if flat is None:  # non-contiguous levels: direct (strided) fallback
+        flat = levels
+    conductances = flat.astype(dtype, order="K", subok=False)
+    conductances *= dtype.type(g_step)
+    conductances += dtype.type(g_min)
+    return _like(conductances, levels)
 
 
 class PackedMatmul:
@@ -265,53 +279,54 @@ class PackedMatmul:
                 f"quantised weights must lie in [{-qmax}, {qmax}] for "
                 f"{arch.weight_bits}-bit symmetric quantisation"
             )
-        encoded, conductances = pack_weights(q, arch, mode, ctx.compute_dtype)
-        self._wire(encoded, conductances, ctx, mode, salt)
+        encoded, levels = pack_weights(q, arch, mode, ctx.compute_dtype)
+        self._wire(encoded, levels, ctx, mode, salt)
 
     @classmethod
     def from_packed(
         cls,
         encoded: Optional[np.ndarray],
-        conductances: List[np.ndarray],
+        levels: List[np.ndarray],
         ctx: SimContext,
         mode: str = "analog",
         salt: Union[int, tuple] = 0,
     ) -> "PackedMatmul":
         """Wire a matmul from a pre-packed payload, skipping programming.
 
-        ``(encoded, conductances)`` is a :func:`pack_weights` result (e.g.
-        loaded from a :class:`repro.engine.state.ProgrammedState`, possibly
-        memory-mapped).  With noise enabled, per-trial programming variation
-        is applied here on copies of the base tensors — the same seed-stable
-        draws the one-shot constructor makes, so outputs are bit-identical;
-        the payload itself is never mutated, so a cached state can be shared
-        by any number of executors.
+        ``(encoded, levels)`` is a :func:`pack_weights` result (e.g. loaded
+        from a :class:`repro.engine.state.ProgrammedState`, possibly
+        memory-mapped).  Every tensor the layer computes with is a fresh
+        array derived from the payload — with noise enabled, per-trial
+        programming variation is applied to decoded conductances with the
+        same seed-stable draws the one-shot constructor makes, so outputs
+        are bit-identical; the payload itself is never mutated, so a cached
+        state can be shared by any number of executors.
         """
         if mode not in MODES:
             raise EngineError(f"unknown engine mode {mode!r}; choose from: {MODES}")
         if mode == "ideal":
             if encoded is None:
                 raise EngineError("ideal-mode packed state is missing its encoded matrix")
-        elif len(conductances) != ctx.arch.cols_per_weight:
+        elif len(levels) != ctx.arch.cols_per_weight:
             raise EngineError(
-                f"analog packed state holds {len(conductances)} slice tensors; "
+                f"analog packed state holds {len(levels)} slice tensors; "
                 f"this architecture needs {ctx.arch.cols_per_weight}"
             )
         matmul = cls.__new__(cls)
-        matmul._wire(encoded, conductances, ctx, mode, salt)
+        matmul._wire(encoded, levels, ctx, mode, salt)
         return matmul
 
     def _wire(
         self,
         encoded: Optional[np.ndarray],
-        conductances: List[np.ndarray],
+        levels: List[np.ndarray],
         ctx: SimContext,
         mode: str,
         salt: Union[int, tuple],
     ) -> None:
         """Cheap construction from a packed payload (geometry + noise scopes)."""
         arch = ctx.arch
-        shape = encoded.shape if encoded is not None else conductances[0].shape
+        shape = encoded.shape if encoded is not None else levels[0].shape
         self.ctx = ctx
         self.mode = mode
         self.n_groups, self.rows_needed, self.group_cols = shape
@@ -329,11 +344,12 @@ class PackedMatmul:
             )
         self.col_tiles = math.ceil(self.group_cols / weights_per_tile)
         self.n_slices = arch.cols_per_weight
-        #: arithmetic precision of this layer's packed tensors — decided at
-        #: packing time (pack_weights may have fallen back to float64 for
-        #: exactness), so it is read off the payload, not the context
-        payload = encoded if encoded is not None else conductances[0]
-        self.compute_dtype = np.dtype(payload.dtype)
+        #: arithmetic precision of this layer's float tensors: the context's
+        #: for analog layers, read off the ideal payload otherwise
+        #: (pack_weights may have fallen back to float64 for exactness)
+        self.compute_dtype = np.dtype(
+            encoded.dtype if encoded is not None else ctx.compute_dtype
+        )
         #: power-of-two digital recombination weights of the slice cascade.
         #: Always float64: the recombination and offset correction work on
         #: ``~offset * sum(codes)``-magnitude operands whose difference is
@@ -360,55 +376,6 @@ class PackedMatmul:
             self._read_noise = ctx.noise.stream("packed", *salt_parts, "read")
 
         self._encoded = encoded
-        if program_noise is not None:
-            # per-executor programming variation over the shared base tensors;
-            # draws are consumed slice-by-slice exactly as the one-shot
-            # constructor consumed them, so results stay bit-identical
-            self._conductances = [
-                program_noise.apply_conductance_variation(c) for c in conductances
-            ]
-        else:
-            self._conductances = list(conductances)
-
-        # hard faults (stuck cells / drift / saturation): wiring-time, like
-        # variation, so the shared payload — possibly a read-only mmap of a
-        # cached ProgrammedState — is never mutated and stays fault-free
-        faults = ctx.faults
-        self.fault_report = None
-        self._saturation = None
-        if mode == "analog" and faults is not None and faults.active:
-            if faults.cell_active:
-                from repro.faults import FaultReport, apply_tile_faults
-
-                varied = (
-                    program_noise is not None
-                    and program_noise.reram_conductance_sigma > 0
-                )
-                if not varied:
-                    # the variation path above already produced fresh
-                    # writable tensors; otherwise fault on private copies
-                    self._conductances = [
-                        c.copy(order="K") for c in self._conductances
-                    ]
-                cell = arch.cell_spec()
-                report = FaultReport()
-                for g in range(self.n_groups):
-                    for rt, (r0, height) in enumerate(self._row_spans):
-                        views = [
-                            c[g, r0 : r0 + height, :] for c in self._conductances
-                        ]
-                        report.merge(
-                            apply_tile_faults(
-                                views,
-                                cell,
-                                faults,
-                                arch.spare_rows,
-                                ("packed", *salt_parts, "fault", g, rt),
-                            )
-                        )
-                self.fault_report = report
-            if faults.readout_saturation is not None:
-                self._saturation = float(faults.readout_saturation)
         # exactness bound for the float integer matmul of the ideal path,
         # checked at the *stored* precision (pack_weights already widened
         # a float32 request that could not stay exact)
@@ -417,24 +384,56 @@ class PackedMatmul:
         #: largest per-group sum of input codes (the offset correction)
         self._code_sum_max = float(2 ** arch.input_bits - 1) * self.rows_needed
 
-        #: per-slice integer cell levels when this analog layer reads out
-        #: through the exact-level path, else ``None`` (the conductance
-        #: path).  Derived here, at wiring, in one pass per slice; a payload
-        #: with any off-grid cell keeps the conductance path.
+        faults = ctx.faults
+        self.fault_report = None
+        self._saturation = None
+        if mode == "analog" and faults is not None and faults.readout_saturation is not None:
+            self._saturation = float(faults.readout_saturation)
+        #: the stored cell levels in the GEMM dtype when this analog layer
+        #: reads out through the exact-level path, else ``None``
         self._levels: Optional[List[np.ndarray]] = None
+        #: the (perturbed) conductances of the conductance path, else ``None``
+        self._conductances: Optional[List[np.ndarray]] = None
+        if mode != "analog":
+            return
         level_dtype = _level_gemm_dtype(self.spec.dot_max)
-        if mode == "analog" and level_dtype is not None and _on_level_grid(ctx):
-            cell = arch.cell_spec()
-            levels = []
-            for conductances_s in self._conductances:
-                derived = cell_levels(
-                    conductances_s, cell.g_min_s, cell.g_step_s, cell.levels - 1, level_dtype
-                )
-                if derived is None:
-                    break
-                levels.append(derived)
-            else:
-                self._levels = levels
+        if level_dtype is not None and _on_level_grid(ctx):
+            self._levels = [
+                stored.astype(level_dtype, order="K") for stored in levels
+            ]
+            return
+        cell = arch.cell_spec()
+        conductances = [
+            level_conductances(stored, cell.g_min_s, cell.g_step_s, self.compute_dtype)
+            for stored in levels
+        ]
+        if program_noise is not None:
+            # per-executor programming variation over the decoded base
+            # tensors, drawn slice by slice as the one-shot constructor does
+            conductances = [
+                program_noise.apply_conductance_variation(c) for c in conductances
+            ]
+        # hard faults (stuck cells / drift): wiring-time, like variation, on
+        # the freshly decoded tensors — the shared payload, possibly a
+        # read-only mmap of a cached ProgrammedState, stays fault-free
+        if faults is not None and faults.cell_active:
+            from repro.faults import FaultReport, apply_tile_faults
+
+            report = FaultReport()
+            for g in range(self.n_groups):
+                for rt, (r0, height) in enumerate(self._row_spans):
+                    views = [c[g, r0 : r0 + height, :] for c in conductances]
+                    report.merge(
+                        apply_tile_faults(
+                            views,
+                            cell,
+                            faults,
+                            arch.spare_rows,
+                            ("packed", *salt_parts, "fault", g, rt),
+                        )
+                    )
+            self.fault_report = report
+        self._conductances = conductances
 
     @property
     def crossbars(self) -> int:
@@ -443,16 +442,17 @@ class PackedMatmul:
 
     @property
     def packed_bytes(self) -> int:
-        """Bytes of the programmed payload (conductances, or the encoded
-        levels of ideal mode).
+        """Bytes this wired layer holds for its GEMMs.
 
-        The cell levels the exact-level path derives at wiring (half the
-        float64 payload, as float32) are not part of the payload and are
-        not counted.
+        The cell levels in the GEMM dtype on the exact-level path, the
+        decoded (perturbed) conductances on the conductance path, the
+        ``encoded`` matrix in ideal mode — not the stored integer levels,
+        which the wiring only reads.
         """
         if self._encoded is not None:
             return self._encoded.nbytes
-        return sum(g.nbytes for g in self._conductances)
+        tensors = self._levels if self._levels is not None else self._conductances
+        return sum(t.nbytes for t in tensors)
 
     @property
     def readout_path(self) -> str:

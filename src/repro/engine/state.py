@@ -3,7 +3,7 @@
 The paper's premise is that in-ReRAM computing amortises a one-time,
 expensive weight-programming phase over many cheap analog inferences.  This
 module gives that phase a product: :class:`ProgrammedState` — the per-layer,
-per-bit-cell-slice conductance tensors plus the quantisation/tiling metadata
+per-bit-cell-slice integer cell levels plus the quantisation/tiling metadata
 that :class:`repro.engine.packed.PackedMatmul` otherwise rebuilds inside
 every ``NetworkExecutor`` construction — so programming runs **once** and its
 result is saved, shared across processes, and re-used by any number of
@@ -11,12 +11,14 @@ executions (:meth:`repro.engine.executor.NetworkExecutor.from_state`).
 
 Three design points:
 
-* **Noise-independence.**  The state holds the *base* (noise-free)
-  conductances.  Per-trial programming variation is multiplicative and
-  seed-stable (``(seed, salt)`` streams, see :mod:`repro.circuits.noise`),
-  so it is applied cheaply on top of the base tensors at executor wiring
-  time — one snapshot therefore serves every Monte-Carlo trial of a sweep
-  while staying bit-for-bit identical to programming from scratch.
+* **Noise-independence.**  The state holds the cell levels each weight
+  was programmed to — the *base* (noise-free) conductances are ``g_min +
+  level * g_step``.  Per-trial programming variation is multiplicative
+  and seed-stable (``(seed, salt)`` streams, see
+  :mod:`repro.circuits.noise`), so it is applied cheaply on top of the
+  decoded base tensors at executor wiring time — one snapshot therefore
+  serves every Monte-Carlo trial of a sweep while staying bit-for-bit
+  identical to programming from scratch.
 * **Content addressing.**  :func:`state_key` derives a stable key from
   ``(model, ArchSpec, mode, seed, compute dtype)`` via the same
   :func:`repro.circuits.noise.stable_seed` hashing the sweep store uses, so
@@ -47,6 +49,7 @@ import numpy as np
 
 from repro.context import ArchSpec
 from repro.engine.errors import EngineError
+from repro.engine.packed import level_conductances
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.context import SimContext
@@ -57,8 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (2: packed payloads carry a compute dtype — float32 states exist and the
 #: manifest + content key record which precision was programmed;
 #: 3: one execution engine — the manifest drops ``backend`` and the
-#: per-layer ``q`` payload)
-STATE_FORMAT = 3
+#: per-layer ``q`` payload;
+#: 4: analog layers store unsigned integer cell levels, not float
+#: conductances — the manifest names ``levels`` files)
+STATE_FORMAT = 4
 
 #: metadata filename inside a saved state directory
 _META_NAME = "meta.json"
@@ -76,7 +81,7 @@ def state_key(
     Derived with the same :func:`repro.circuits.noise.stable_seed` hashing
     the sweep keys use (SHA-256 based, stable across processes and Python
     versions).  Noise is deliberately **not** part of the key: the state
-    holds base conductances and per-trial variation is applied on load, so
+    holds base cell levels and per-trial variation is applied on load, so
     every noise scale / trial of a Monte-Carlo sweep shares one entry.
     ``compute_dtype`` **is** part of the key — a float32-programmed payload
     holds different bytes than a float64 one, so the two must never alias
@@ -112,10 +117,12 @@ def state_key(
 class LayerState:
     """Programmed artifact of one conv/FC layer.
 
-    Exactly one weight payload is populated, matching the mode:
-    ``conductances`` (analog — the base per-slice tensors, noise-free) or
-    ``encoded`` (ideal — the offset-encoded float matrix).  Both are
-    ``(groups, rows_needed, group_cols)`` stacks in im2col layout.
+    Exactly one weight payload is populated, matching the mode: ``levels``
+    (analog — one unsigned integer cell-level tensor per bit-cell slice,
+    noise-free) or ``encoded`` (ideal — the offset-encoded float matrix).
+    Both are ``(groups, rows_needed, group_cols)`` stacks in im2col layout.
+    ``g_min_s``/``g_step_s`` (the cell's level grid, siemens) and
+    ``compute_dtype`` say how the levels decode to :attr:`conductances`.
     """
 
     name: str
@@ -124,6 +131,9 @@ class LayerState:
     out_channels: int
     n_groups: int
     w_scales: np.ndarray  # (out_channels,) per-channel dequantisation scales
+    g_min_s: float
+    g_step_s: float
+    compute_dtype: str
     bias: Optional[np.ndarray] = None
     # conv-only geometry (0 for fc)
     stride: int = 0
@@ -131,7 +141,20 @@ class LayerState:
     kernel: int = 0
     # weight payloads (see class docstring)
     encoded: Optional[np.ndarray] = None
-    conductances: List[np.ndarray] = field(default_factory=list)
+    levels: List[np.ndarray] = field(default_factory=list)
+
+    @property
+    def conductances(self) -> List[np.ndarray]:
+        """The base conductances of every slice, decoded from ``levels``.
+
+        Fresh ``compute_dtype`` arrays in the levels' memory layout, from
+        the pack-time arithmetic (:func:`repro.engine.packed.level_conductances`);
+        empty for an ideal-mode layer.
+        """
+        return [
+            level_conductances(levels, self.g_min_s, self.g_step_s, self.compute_dtype)
+            for levels in self.levels
+        ]
 
     @property
     def nbytes(self) -> int:
@@ -140,11 +163,42 @@ class LayerState:
             total += self.bias.nbytes
         if self.encoded is not None:
             total += self.encoded.nbytes
-        return total + sum(c.nbytes for c in self.conductances)
+        return total + sum(levels.nbytes for levels in self.levels)
+
+
+def _check_levels(
+    names: List[str], levels: List[np.ndarray], slices: int, path: Path
+) -> None:
+    """Reject a layer's level payload that this build cannot have written.
+
+    Reads dtypes and shapes only, so memory-mapped payloads stay unread.
+    """
+    if len(levels) != slices:
+        raise EngineError(
+            f"corrupt programmed state at {path / _META_NAME}: a layer holds "
+            f"{len(levels)} level tensors, the architecture needs {slices}"
+        )
+    for name, array in zip(names, levels):
+        if array.dtype.kind != "u":
+            raise EngineError(
+                f"corrupt programmed state at {path / name}: levels of dtype "
+                f"{array.dtype} are not unsigned integers"
+            )
+        if array.shape != levels[0].shape:
+            raise EngineError(
+                f"corrupt programmed state at {path / name}: levels of shape "
+                f"{array.shape} differ from the layer's first slice "
+                f"{levels[0].shape}"
+            )
 
 
 def _layer_from_entry(
-    entry: Dict[str, Any], path: Path, mmap_mode: Optional[str]
+    entry: Dict[str, Any],
+    path: Path,
+    mmap_mode: Optional[str],
+    arch: ArchSpec,
+    mode: str,
+    compute_dtype: str,
 ) -> LayerState:
     """One manifest ``layers`` entry of the state at ``path`` as a layer."""
 
@@ -153,6 +207,12 @@ def _layer_from_entry(
             return None
         return np.load(path / name, mmap_mode=mmap_mode)
 
+    names = entry["levels"]
+    levels = [np.load(path / name, mmap_mode=mmap_mode) for name in names]
+    _check_levels(
+        names, levels, arch.cols_per_weight if mode == "analog" else 0, path
+    )
+    cell = arch.cell_spec()
     return LayerState(
         name=entry["name"],
         index=entry["index"],
@@ -160,12 +220,15 @@ def _layer_from_entry(
         out_channels=entry["out_channels"],
         n_groups=entry["n_groups"],
         w_scales=pull(entry["w_scales"]),
+        g_min_s=cell.g_min_s,
+        g_step_s=cell.g_step_s,
+        compute_dtype=compute_dtype,
         bias=pull(entry["bias"]),
         stride=entry["stride"],
         pad=entry["pad"],
         kernel=entry["kernel"],
         encoded=pull(entry["encoded"]),
-        conductances=[pull(name) for name in entry["conductances"]],
+        levels=levels,
     )
 
 
@@ -201,7 +264,8 @@ class ProgrammedState:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of the programmed tensors (the save/load payload)."""
+        """Total bytes of the stored tensors — cell levels (or ideal-mode
+        ``encoded`` matrices), scales and biases: the save/load payload."""
         return sum(layer.nbytes for layer in self.layers)
 
     def layer_by_name(self, name: str) -> LayerState:
@@ -233,8 +297,9 @@ class ProgrammedState:
             name = f"{prefix}.npy"
             # np.save records Fortran order natively; preserving the packed
             # payloads' exact memory layout matters because BLAS picks
-            # summation paths by layout — a C-order copy of the F-ordered
-            # conductances would be bitwise-different downstream
+            # summation paths by layout — the levels decode in their own
+            # order, and a C-order copy of the F-ordered tensors would be
+            # bitwise-different downstream
             np.save(tmp / name, array)
             return name
 
@@ -254,9 +319,9 @@ class ProgrammedState:
                     "w_scales": dump(f"{prefix}_w_scales", layer.w_scales),
                     "bias": dump(f"{prefix}_bias", layer.bias),
                     "encoded": dump(f"{prefix}_encoded", layer.encoded),
-                    "conductances": [
-                        dump(f"{prefix}_cond{s}", c)
-                        for s, c in enumerate(layer.conductances)
+                    "levels": [
+                        dump(f"{prefix}_levels{s}", levels)
+                        for s, levels in enumerate(layer.levels)
                     ],
                 }
             )
@@ -294,10 +359,12 @@ class ProgrammedState:
         """Read a state saved by :meth:`save`.
 
         With ``mmap=True`` every tensor is memory-mapped read-only instead of
-        materialised — the larger-than-RAM execution direction: a noiseless
-        packed executor then streams conductance pages from disk as the
-        matmuls touch them (a noisy one still materialises per-trial copies
-        when the variation is applied).
+        materialised — the larger-than-RAM execution direction: an executor
+        reads each layer's level pages once, when it wires the layer.  A
+        payload this build cannot have written (levels that are not
+        unsigned integers, slices of one layer that differ in shape, a
+        slice count the architecture does not use) is refused with an
+        :class:`EngineError` naming the file; the checks read headers only.
         """
         path = Path(path)
         meta_file = path / _META_NAME
@@ -324,16 +391,19 @@ class ProgrammedState:
             )
         mmap_mode = "r" if mmap else None
         try:
+            arch = ArchSpec(**meta["arch"])
+            mode, compute_dtype = meta["mode"], meta["compute_dtype"]
             layers = [
-                _layer_from_entry(entry, path, mmap_mode) for entry in meta["layers"]
+                _layer_from_entry(entry, path, mmap_mode, arch, mode, compute_dtype)
+                for entry in meta["layers"]
             ]
             return cls(
                 model=meta["model"],
-                mode=meta["mode"],
+                mode=mode,
                 seed=meta["seed"],
-                arch=ArchSpec(**meta["arch"]),
+                arch=arch,
                 layers=layers,
-                compute_dtype=meta.get("compute_dtype", "float64"),
+                compute_dtype=compute_dtype,
                 source_path=path,
             )
         except (KeyError, TypeError, OSError, ValueError) as exc:
@@ -364,7 +434,14 @@ class ProgrammedState:
         path = Path(self.source_path)
         try:
             entry = json.loads((path / _META_NAME).read_text())["layers"][position]
-            return _layer_from_entry(entry, path, "r" if mmap else None)
+            return _layer_from_entry(
+                entry,
+                path,
+                "r" if mmap else None,
+                self.arch,
+                self.mode,
+                self.compute_dtype,
+            )
         except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
             raise EngineError(
                 f"corrupt programmed state at {path}: "
@@ -377,9 +454,10 @@ class ProgrammedStateCache:
 
     ``root`` is the persistent cache directory (one content-keyed
     subdirectory per state; ``None`` keeps the cache memory-only).
-    ``memory_entries`` bounds the resident LRU — deep models hold gigabytes
-    of conductances, so the default keeps only a few hot states in RAM and
-    falls back to (optionally memory-mapped) disk loads for the rest.
+    ``memory_entries`` bounds the resident LRU — deep models hold hundreds
+    of megabytes of cell levels, so the default keeps only a few hot states
+    in RAM and falls back to (optionally memory-mapped) disk loads for the
+    rest.
     """
 
     def __init__(
@@ -468,9 +546,11 @@ class ProgrammedStateCache:
         artifact is noise-free; variation is applied at executor wiring).
         """
         from repro.context import SimContext
-        from repro.engine.executor import program
+        from repro.engine.executor import check_params, program
 
         ctx = ctx or SimContext()
+        if params is not None:
+            check_params(params, network, ctx.seed)
         key = state_key(network.name, ctx.arch, mode, ctx.seed, ctx.compute_dtype)
         state, source = self._lookup(key)
         if state is None:

@@ -1,8 +1,8 @@
-"""Runtime-dispatched hot-loop kernels (read-out chain, cell levels, im2col).
+"""Runtime-dispatched hot-loop kernels (read-out chain, im2col).
 
 Public surface: :mod:`repro.kernels.dispatch` — every consumer goes
-through its entry points (``readout_fused``, ``cell_levels``,
-``im2col_pack``) and tier resolution (``resolve`` / ``available``).  The
+through its entry points (``readout_fused``, ``im2col_pack``) and tier
+resolution (``resolve`` / ``available``).  The
 implementation modules (``numpy_impl``, ``c_impl``) are internal; the ``kernel-dispatch`` rule in ``repro.analysis`` flags any
 direct import of them from outside this package.
 """
@@ -14,7 +14,6 @@ from repro.kernels.dispatch import (  # noqa: F401
     KernelError,
     ReadoutScalars,
     available,
-    cell_levels,
     default_kernel,
     im2col_pack,
     readout_fused,

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
 
 #: must match repro_kernels_abi_version() in readout.c
-ABI_VERSION = 3
+ABI_VERSION = 4
 #: flags the bit-for-bit contract depends on (see module docstring)
 CFLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -151,7 +151,6 @@ def _bind(path: Path) -> ctypes.CDLL:
         _void_p, _void_p,  # shifts, rec_out
         _i64, _i64, _i64,  # rec_out strides
     ]
-    cell_levels = [_void_p, _i64, _f64, _f64, _f64, _void_p]
     im2col = [_void_p] + [_i64] * 13 + [_void_p]
     signatures = [
         ("readout_fused_f64", fused, None),
@@ -161,7 +160,6 @@ def _bind(path: Path) -> ctypes.CDLL:
     ]
     for src in ("f64", "f32"):
         for dst in ("f64", "f32"):
-            signatures.append((f"cell_levels_{src}_{dst}", cell_levels, _i64))
             signatures.append((f"im2col_{src}_{dst}", im2col, _i32))
     for name, argtypes, restype in signatures:
         fn = getattr(lib, name)
@@ -308,41 +306,6 @@ def readout_fused(
         *tail,
     )
     return work
-
-
-def _flat(a: np.ndarray) -> Optional[np.ndarray]:
-    """A 1-D view of ``a`` in its own memory order, or ``None`` if strided."""
-    if a.flags.c_contiguous:
-        return a.reshape(-1)
-    if a.flags.f_contiguous:
-        return a.T.reshape(-1)
-    return None
-
-
-def cell_levels(
-    conductances: np.ndarray,
-    g_min: float,
-    g_step: float,
-    max_level: int,
-    dtype: np.dtype,
-) -> Optional[np.ndarray]:
-    dtype = np.dtype(dtype)
-    if (
-        not isinstance(conductances, np.ndarray)
-        or conductances.dtype not in _SUPPORTED
-        or dtype not in _SUPPORTED
-        or _flat(conductances) is None
-    ):
-        return numpy_impl.cell_levels(conductances, g_min, g_step, max_level, dtype)
-    lib = load()
-    # same memory order as the conductances: the pass is one sequential run
-    levels = np.empty_like(conductances, dtype=dtype, subok=False)
-    src, dst = _flat(conductances), _flat(levels)
-    fn = getattr(lib, f"cell_levels_{_SUFFIX[conductances.dtype]}_{_SUFFIX[dtype]}")
-    off_grid = fn(
-        src.ctypes.data, src.size, g_min, g_step, float(max_level), dst.ctypes.data
-    )
-    return None if off_grid else levels
 
 
 def im2col_pack(

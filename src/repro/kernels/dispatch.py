@@ -1,8 +1,7 @@
 """Runtime kernel dispatch: one entry point per hot loop, tiered backends.
 
-The engine's hot loops — the fused time-domain read-out chain, the
-cell-level derivation of the exact-level path and the im2col gather — are
-reachable only through this module.  An ordered registry of
+The engine's hot loops — the fused time-domain read-out chain and the
+im2col gather — are reachable only through this module.  An ordered registry of
 implementation tiers backs each entry point:
 
 ``c``
@@ -206,24 +205,6 @@ def readout_fused(
         shifts=shifts,
         recombine_out=recombine_out,
     )
-
-
-def cell_levels(
-    conductances: np.ndarray,
-    g_min: float,
-    g_step: float,
-    max_level: int,
-    dtype: np.dtype,
-    kernel: Optional[str] = None,
-) -> Optional[np.ndarray]:
-    """Integer cell levels ``rint((G - g_min) / g_step)`` as ``dtype``.
-
-    One pass over a programmed conductance tensor, in its own memory
-    order and layout.  Returns ``None`` when any cell is off the level
-    grid (its level does not reproduce ``G`` through ``level * g_step +
-    g_min`` in ``G``'s precision, or lies outside ``[0, max_level]``).
-    """
-    return resolve(kernel)[1].cell_levels(conductances, g_min, g_step, max_level, dtype)
 
 
 def im2col_pack(

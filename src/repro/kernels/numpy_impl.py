@@ -3,8 +3,8 @@
 The read-out chain here is the code that used to live inline in
 :meth:`repro.circuits.timing.TimeDomainChainSpec.read_out` and
 :meth:`repro.engine.packed.PackedMatmul._analog_products`, extracted
-verbatim; the level variant, the cell-level derivation and the im2col
-gather define their compiled counterparts.  The compiled ``c`` tier is
+verbatim; the level variant and the im2col gather define their compiled
+counterparts.  The compiled ``c`` tier is
 tested bit-for-bit against these functions in float64 — when in doubt,
 this file defines what "correct" means.
 
@@ -72,30 +72,6 @@ def readout_fused(
         np.copyto(out, net, casting="same_kind")
         return out
     return net
-
-
-def cell_levels(
-    conductances: np.ndarray,
-    g_min: float,
-    g_step: float,
-    max_level: int,
-    dtype: np.dtype,
-) -> Optional[np.ndarray]:
-    """Integer cell levels of programmed conductances, or ``None``.
-
-    ``rint((G - g_min) / g_step)`` in the conductances' own precision,
-    returned as ``dtype`` in their memory layout.  ``None`` when any cell
-    is off the level grid: its level does not reproduce ``G`` through the
-    programming arithmetic ``level * g_step + g_min``, or lies outside
-    ``[0, max_level]``.
-    """
-    real = conductances.dtype.type
-    levels = np.rint((conductances - real(g_min)) / real(g_step))
-    on_grid = levels * real(g_step) + real(g_min) == conductances
-    on_grid &= (levels >= 0) & (levels <= max_level)
-    if not on_grid.all():
-        return None
-    return levels.astype(dtype, order="K", copy=False)
 
 
 def im2col_pack(

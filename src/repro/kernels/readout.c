@@ -1,6 +1,6 @@
 /*
- * Compiled hot-path kernels: the time-domain read-out chain, the cell-level
- * derivation of the exact-level path, and the im2col gather.
+ * Compiled hot-path kernels: the time-domain read-out chain and the im2col
+ * gather.
  *
  * Bit-for-bit contract: every routine here must reproduce the numpy
  * reference in `repro.kernels.numpy_impl` exactly, element by element, in
@@ -43,7 +43,6 @@
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #ifdef _MSC_VER
 #define API __declspec(dllexport)
@@ -53,7 +52,7 @@
 
 /* Bumped whenever a signature changes; the loader refuses mismatches so a
  * stale cached .so can never be called with the wrong ABI. */
-API int64_t repro_kernels_abi_version(void) { return 3; }
+API int64_t repro_kernels_abi_version(void) { return 4; }
 
 static void zero_rec_out(double *rec_out, int64_t n_groups, int64_t n_pos,
                          int64_t n_cols, int64_t rec_sg, int64_t rec_sp,
@@ -171,54 +170,6 @@ API void NAME(                                                                 \
 
 DEFINE_READOUT_LEVELS(readout_levels_f64, double)
 DEFINE_READOUT_LEVELS(readout_levels_f32, float)
-
-/* Integer cell levels of n conductances (one memory-order run):
- *   level = rint((g - g_min) / g_step)        in the conductance type REAL,
- * stored as OUT.  Returns nonzero when any cell is OFF the grid — the
- * level does not reproduce g as level * g_step + g_min (the arithmetic
- * that programmed it) or lies outside [0, max_level].
- *
- * Written to vectorise: rint is spelled (q + M) - M with M = 1.5 * 2^p
- * (p = mantissa bits), exact round-half-even for |q| < 2^(p-1) — any
- * larger |q|, and NaN, is off the grid either way — and each block first
- * marks off-grid cells -1, then narrows and ORs the sign bits. */
-#define CELL_BLOCK 512
-#define DEFINE_CELL_LEVELS(NAME, REAL, BITS, OUT, MAGIC)                       \
-API int64_t NAME(                                                              \
-    const REAL *conductances, int64_t n,                                       \
-    double g_min_d, double g_step_d, double max_level_d, OUT *levels)          \
-{                                                                              \
-    const REAL g_min = (REAL)g_min_d;                                          \
-    const REAL g_step = (REAL)g_step_d;                                        \
-    const REAL max_level = (REAL)max_level_d;                                  \
-    const REAL magic = MAGIC;                                                  \
-    REAL block[CELL_BLOCK];                                                    \
-    BITS signs = 0;                                                            \
-    int64_t i0, i, m;                                                          \
-    for (i0 = 0; i0 < n; i0 += CELL_BLOCK) {                                   \
-        const REAL *g = conductances + i0;                                     \
-        m = n - i0 < CELL_BLOCK ? n - i0 : CELL_BLOCK;                         \
-        for (i = 0; i < m; ++i) {                                              \
-            REAL level = ((g[i] - g_min) / g_step + magic) - magic;            \
-            int on_grid = (level * g_step + g_min == g[i])                     \
-                & (level >= (REAL)0.0) & (level <= max_level);                 \
-            block[i] = on_grid ? level : (REAL)-1.0;                           \
-        }                                                                      \
-        for (i = 0; i < m; ++i) {                                              \
-            BITS bits;                                                         \
-            memcpy(&bits, &block[i], sizeof bits);                             \
-            signs |= bits;                                                     \
-        }                                                                      \
-        for (i = 0; i < m; ++i)                                                \
-            levels[i0 + i] = (OUT)block[i];                                    \
-    }                                                                          \
-    return (int64_t)(signs >> (8 * sizeof(BITS) - 1));                         \
-}
-
-DEFINE_CELL_LEVELS(cell_levels_f64_f64, double, uint64_t, double, 6755399441055744.0)
-DEFINE_CELL_LEVELS(cell_levels_f64_f32, double, uint64_t, float, 6755399441055744.0)
-DEFINE_CELL_LEVELS(cell_levels_f32_f64, float, uint32_t, double, 12582912.0f)
-DEFINE_CELL_LEVELS(cell_levels_f32_f32, float, uint32_t, float, 12582912.0f)
 
 #define PAD_OFFSET INT64_MIN
 

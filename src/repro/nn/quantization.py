@@ -8,6 +8,7 @@ symmetric / unsigned linear quantisation the behavioural models rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +114,42 @@ class ChannelQuantizedTensor:
         return 2 ** self.bits
 
 
+#: float64 elements per block of the per-channel quantiser (512 KB: a
+#: block of channels stays in cache from its max scan to its rounding)
+_QUANTIZE_BLOCK = 1 << 16
+
+
 def quantize_symmetric_per_channel(x: np.ndarray, bits: int) -> ChannelQuantizedTensor:
-    """Symmetric signed quantisation with one scale per leading-axis slice."""
+    """Symmetric signed quantisation with one scale per leading-axis slice.
+
+    The values come back in the narrowest signed integer dtype that holds
+    ``±(2**(bits-1) - 1)`` (int8 up to 8-bit weights).  One pass over
+    cache-sized blocks of channels: each block's ``max |x|`` scales, then
+    ``rint(x / scale)`` and the clip in place on the block, straight into
+    the integer result — no weights-sized float temporary.
+    """
     if bits < 2:
         raise ValueError("symmetric quantisation needs at least 2 bits")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
         raise ValueError("per-channel quantisation needs at least one axis")
     qmax = 2 ** (bits - 1) - 1
-    max_abs = np.max(np.abs(x.reshape(x.shape[0], -1)), axis=1) if x.size else np.zeros(x.shape[0])
-    scales = np.where(max_abs > 0, max_abs / qmax, 1.0)
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    values = np.clip(np.round(x / scales.reshape(shape)), -qmax, qmax).astype(np.int64)
+    channels = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    n, width = channels.shape
+    scales = np.ones(n)
+    values = np.empty(x.shape, dtype=np.min_scalar_type(-qmax))
+    out = values.reshape(n, width)
+    rows = max(1, _QUANTIZE_BLOCK // max(1, width))
+    block = np.empty((min(rows, n), width))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        work = block[: r1 - r0]
+        max_abs = np.abs(channels[r0:r1], out=work).max(axis=1, initial=0.0)
+        np.divide(max_abs, qmax, out=scales[r0:r1], where=max_abs > 0)
+        np.divide(channels[r0:r1], scales[r0:r1, None], out=work)
+        np.rint(work, out=work)
+        np.clip(work, -qmax, qmax, out=work)
+        out[r0:r1] = work  # exact: integers within the dtype's range
     return ChannelQuantizedTensor(values=values, scales=scales, bits=bits)
 
 

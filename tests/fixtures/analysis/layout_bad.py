@@ -21,3 +21,13 @@ def narrowing_cast(products):
 def forced_order(conductances):
     # an explicit non-K order is just as layout-destroying
     return conductances.astype(np.float64, order="C")
+
+
+def discards_level_layout(levels):
+    # the stored cell levels carry the same layout contract
+    return np.ascontiguousarray(levels)
+
+
+def unordered_level_cast(levels):
+    # no order="K", and a narrowing dtype on a payload name
+    return levels.astype(np.float32)

@@ -78,11 +78,14 @@ def test_rng_findings_carry_locations():
 def test_layout_bad_fixture_flags_copies_and_casts():
     findings = _findings(FIXTURES / "layout_bad.py", rules=_rule("layout-discipline"))
     messages = "\n".join(f.message for f in findings)
-    assert len(findings) == 4
+    assert len(findings) == 7
     assert "np.ascontiguousarray on packed payload 'encoded'" in messages
     assert "astype on packed payload '_encoded'" in messages
     assert "dtype-narrowing cast to float32 on 'products'" in messages
     assert 'order="C" forces a fixed layout' in messages
+    assert "np.ascontiguousarray on packed payload 'levels'" in messages
+    assert "astype on packed payload 'levels'" in messages
+    assert "dtype-narrowing cast to float32 on 'levels'" in messages
 
 
 def test_layout_good_fixture_is_clean():

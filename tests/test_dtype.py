@@ -16,7 +16,12 @@ from repro.engine import (
     PackedMatmul,
     relative_error,
 )
-from repro.engine.packed import _EXACT_FLOAT_BOUNDS, _worst_product_sum, pack_weights
+from repro.engine.packed import (
+    _EXACT_FLOAT_BOUNDS,
+    _worst_product_sum,
+    level_conductances,
+    pack_weights,
+)
 
 RNG = np.random.default_rng(17)
 
@@ -48,6 +53,18 @@ def test_context_validates_compute_dtype_and_chunk_bytes():
 # matmul-level parity: float32 vs the float64 reference
 # ---------------------------------------------------------------------------
 
+def _conductance_path(packed: PackedMatmul) -> PackedMatmul:
+    """``packed`` forced off the exact-level read-out onto the conductance
+    chain, with the conductances the stored levels decode to."""
+    cell = packed.ctx.arch.cell_spec()
+    packed._conductances = [
+        level_conductances(levels, cell.g_min_s, cell.g_step_s, packed.compute_dtype)
+        for levels in packed._levels
+    ]
+    packed._levels = None
+    return packed
+
+
 @pytest.mark.parametrize(
     "weight_bits,cell_bits",
     [(4, 4), (8, 4), (16, 4)],  # cols_per_weight = 1, 2, 4
@@ -69,7 +86,7 @@ def test_packed_float32_tracks_float64_within_1e4(weight_bits, cell_bits, mode):
         # noiseless layers read out through exact levels in either dtype
         # (bit-identical); the float32 chain is the conductance path's
         np.testing.assert_array_equal(packed32.matmul(codes), packed64.matmul(codes))
-        packed64._levels = packed32._levels = None
+        packed64, packed32 = _conductance_path(packed64), _conductance_path(packed32)
     ref = packed64.matmul(codes)
     out = packed32.matmul(codes)
     assert out.dtype == np.float64
@@ -83,7 +100,8 @@ def test_packed_float32_grouped_tracks_float64():
     codes = RNG.integers(0, 2 ** arch.input_bits, size=(4, 3 * 20))
     packed64 = PackedMatmul(q, SimContext(arch=arch), "analog")
     packed32 = PackedMatmul(q, SimContext(arch=arch, compute_dtype="float32"), "analog")
-    packed64._levels = packed32._levels = None  # the float32 conductance chain
+    # the float32 conductance chain
+    packed64, packed32 = _conductance_path(packed64), _conductance_path(packed32)
     assert relative_error(packed32.matmul(codes), packed64.matmul(codes)) <= 1e-4
 
 

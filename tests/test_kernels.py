@@ -23,7 +23,6 @@ from repro.kernels.dispatch import (
     KernelError,
     ReadoutScalars,
     available,
-    cell_levels,
     im2col_pack,
     readout_fused,
     resolve,
@@ -195,59 +194,6 @@ def test_level_chain_matches_numpy_on_strided_chunks(tier):
         )
     np.testing.assert_array_equal(work_got, work_ref)
     np.testing.assert_array_equal(full_got[:, 7:], full_ref[:, 7:])
-
-
-# -- cell levels: one pass, exact, layout kept, off-grid refused ---------------
-
-
-def _grid(dtype, order="F"):
-    """A (2, 40, 21) conductance stack on the default cell's level grid."""
-    cell = SimContext().arch.cell_spec()
-    rng = np.random.default_rng(stable_seed("kernels", "levels", "grid"))
-    levels = rng.integers(0, cell.levels, size=(2, 40, 21))
-    levels = np.asfortranarray(levels) if order == "F" else levels
-    g = levels.astype(dtype, order="K")
-    g *= g.dtype.type(cell.g_step_s)  # the pack_weights arithmetic
-    g += g.dtype.type(cell.g_min_s)
-    return cell, levels, g
-
-
-@pytest.mark.parametrize("tier", TIERS)
-@pytest.mark.parametrize("src", [np.float64, np.float32])
-@pytest.mark.parametrize("dst", [np.float32, np.float64])
-@pytest.mark.parametrize("order", ["F", "C"])
-def test_cell_levels_recover_programmed_levels(tier, src, dst, order):
-    cell, levels, g = _grid(src, order)
-    args = (cell.g_min_s, cell.g_step_s, cell.levels - 1, dst)
-    got = cell_levels(g, *args, kernel=tier)
-    ref = cell_levels(g, *args, kernel="numpy")
-    assert got.dtype == ref.dtype == np.dtype(dst)
-    # the conductances' memory layout, in the levels' itemsize
-    assert got.strides == ref.strides == tuple(
-        s // g.itemsize * got.itemsize for s in g.strides
-    )
-    np.testing.assert_array_equal(got, levels)
-    np.testing.assert_array_equal(got, ref)
-
-
-@pytest.mark.parametrize("tier", TIERS)
-def test_cell_levels_refuse_off_grid_cells(tier):
-    cell, _, g = _grid(np.float64)
-    args = (cell.g_min_s, cell.g_step_s, cell.levels - 1, np.float32)
-    for mutate in (
-        lambda a: a.__setitem__((1, 3, 4), a[1, 3, 4] * (1 + 1e-9)),  # varied
-        lambda a: a.__setitem__((0, 0, 0), cell.g_min_s - cell.g_step_s),  # < 0
-        lambda a: a.__setitem__((0, 5, 2), cell.g_max_s + cell.g_step_s),  # > max
-        lambda a: a.__setitem__((0, 1, 1), np.nan),
-    ):
-        bad = g.copy(order="K")
-        mutate(bad)
-        assert cell_levels(bad, *args, kernel=tier) is None
-    # a strided view falls back to the reference, same answer
-    view = g[:, ::2, :]
-    np.testing.assert_array_equal(
-        cell_levels(view, *args, kernel=tier), cell_levels(view, *args, kernel="numpy")
-    )
 
 
 # -- float32: within float rounding of the numpy float32 chain ----------------

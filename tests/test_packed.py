@@ -20,6 +20,7 @@ from repro.engine import (
     relative_error,
     run_network,
 )
+from repro.engine.packed import level_conductances
 from repro.faults import FaultModel
 from repro.nn import functional as F
 from repro.nn.layers import TensorShape
@@ -136,7 +137,12 @@ def test_packed_rejects_non_integer_float_codes():
 
 def _conductance_twin(packed: PackedMatmul) -> PackedMatmul:
     """The same wired layer, forced onto the conductance read-out."""
+    cell = packed.ctx.arch.cell_spec()
     twin = copy.copy(packed)
+    twin._conductances = [
+        level_conductances(levels, cell.g_min_s, cell.g_step_s, packed.compute_dtype)
+        for levels in packed._levels
+    ]
     twin._levels = None
     assert twin.readout_path == "conductances"
     return twin
@@ -209,16 +215,6 @@ def test_readout_path_follows_the_noise_and_fault_configuration(ctx, path):
     assert PackedMatmul(q, ctx, "ideal").readout_path == "ideal"
 
 
-def test_off_grid_payload_keeps_the_conductance_path():
-    ctx = SimContext(arch=ArchSpec(rows=16, cols=16))
-    q = RNG.integers(-127, 128, size=(40, 21))
-    packed = PackedMatmul(q, ctx, "analog")
-    nudged = [c.copy() for c in packed._conductances]
-    nudged[0][0, 3, 5] *= 1.0 + 1e-9
-    rewired = PackedMatmul.from_packed(None, nudged, ctx, "analog")
-    assert rewired.readout_path == "conductances"
-
-
 def test_noiseless_float32_run_equals_the_float64_run():
     """The exact-level GEMM does not depend on the compute dtype, so a
     noiseless float32 network run is bit-identical to the float64 one."""
@@ -235,9 +231,16 @@ def test_noiseless_float32_run_equals_the_float64_run():
 def test_packed_stores_true_size_not_padded_tiles():
     """Partial tiles live at their true height x width in the packed tensors."""
     arch = ArchSpec()  # 256x256, 2 slices per 8-bit weight
-    packed = PackedMatmul(RNG.integers(-10, 10, size=(30, 5)), SimContext(arch=arch))
-    # two float64 slice tensors of the true 30x5 shape — not 256x256 padding
-    assert packed.packed_bytes == 2 * 30 * 5 * 8
+    q = RNG.integers(-10, 10, size=(30, 5))
+    packed = PackedMatmul(q, SimContext(arch=arch))
+    # the exact-level GEMMs read two float32 level tensors of the true 30x5
+    # shape — not 256x256 padding
+    assert packed.readout_path == "levels"
+    assert packed.packed_bytes == 2 * 30 * 5 * 4
+    # the conductance path holds the decoded float64 conductances instead
+    noisy = PackedMatmul(q, SimContext(arch=arch, noise=HardwareNoiseConfig(seed=1)))
+    assert noisy.readout_path == "conductances"
+    assert noisy.packed_bytes == 2 * 30 * 5 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,52 @@
-"""The benchmark tracer's contract with the package it traces.
+"""The benchmark's contract with the package it measures.
 
 ``perfbench/tracer.py`` wraps public functions from outside, by name, and
 derives its counts from argument shapes.  A rename, or a change to the
 ``PackedMatmul.matmul(codes)`` 2-D ``(positions, groups * rows)``
 contract that ``_gemm_flops`` (and ``tests/crossbar_oracle.py``) rely on,
 must fail here rather than crash a ``--trace 1`` benchmark run.  Nothing
-is installed: the wrappers are only resolved.
+is installed: the wrappers are only resolved.  The checks
+``perfbench/workloads.py`` runs on every programmed state must pass on a
+real state and on its memory-mapped reload.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.context import ArchSpec, SimContext
-from repro.engine import NetworkExecutor, PackedMatmul
+from repro.engine import NetworkExecutor, NetworkParams, PackedMatmul, ProgrammedStateCache
 from repro.nn.models import build_model
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    return _load("perfbench_tracer", TRACER_PATH)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, imported as ``run.py`` imports it: with
+    ``perfbench/`` on ``sys.path`` for its ``import tracer``."""
+    imported = "tracer" in sys.modules
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        module = _load("perfbench_workloads", PERFBENCH / "workloads.py")
+    if not imported:
+        sys.modules.pop("tracer", None)
     return module
 
 
@@ -78,3 +99,23 @@ def test_shape_counts_see_the_arguments_they_expect(tracer, monkeypatch):
     run.run(run.random_batch(2), validate=False)
     assert seen["readout"] and all(n > 0 for n in seen["readout"])
     assert seen["im2col"] and all(n > 0 for n in seen["im2col"])
+
+
+def test_workload_program_checks_pass_on_a_state_and_its_reload(workloads, tmp_path):
+    network = build_model("resnet_smoke")
+    ctx = SimContext(seed=4)
+    params = NetworkParams(network, ctx.seed)
+    state, source = ProgrammedStateCache(root=tmp_path).get_or_program(
+        network, ctx, "analog", params=params
+    )
+    assert source == "programmed"
+    reloaded = ProgrammedStateCache(root=tmp_path, mmap=True).get(state.key)
+    assert reloaded is not None and reloaded.source_path is not None
+    expected = ctx.map_network(network).total_crossbars
+    for candidate in (state, reloaded):
+        assert workloads._crossbars(candidate) == expected
+        error, exact = workloads.programmed_weight_error(candidate, params)
+        assert exact and 0 < error <= workloads.WEIGHT_REL_ERROR_BOUND
+    for i, layer in enumerate(state.layers):
+        assert workloads._same_layer(layer, reloaded.layers[i])
+        assert workloads._same_layer(layer, reloaded.stream_layer(i))

@@ -1,4 +1,5 @@
-"""Quantisation helper tests: round trips and the MSB/LSB split."""
+"""Quantisation helper tests: round trips, the blocked per-channel
+quantiser against its whole-tensor reference, and the MSB/LSB split."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro.nn.quantization import (
     combine_msb_lsb,
     quantization_error,
     quantize_symmetric,
+    quantize_symmetric_per_channel,
     quantize_unsigned,
     split_msb_lsb,
 )
@@ -37,6 +39,34 @@ def test_unsigned_quantization_rejects_negative_inputs():
 def test_quantization_error_decreases_with_bits():
     x = RNG.normal(size=2000)
     assert quantization_error(x, 8) < quantization_error(x, 4)
+
+
+def _whole_tensor_per_channel(x, bits):
+    """The per-channel quantiser as one whole-tensor expression."""
+    qmax = 2 ** (bits - 1) - 1
+    max_abs = np.max(np.abs(x.reshape(x.shape[0], -1)), axis=1) if x.size else np.zeros(x.shape[0])
+    scales = np.where(max_abs > 0, max_abs / qmax, 1.0)
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    return np.clip(np.round(x / scales.reshape(shape)), -qmax, qmax), scales
+
+
+@pytest.mark.parametrize(
+    "shape", [(5,), (3, 7), (64, 3, 3, 3), (300, 512), (3, 70000), (0, 4), (4, 0)]
+)
+@pytest.mark.parametrize("bits", [2, 8, 9, 16])
+def test_per_channel_quantization_matches_the_whole_tensor_reference(shape, bits):
+    """Blocks of channels (several per block, one per block, partial last
+    blocks, all-zero channels) give the reference's values and scales, in
+    the narrowest signed dtype."""
+    x = RNG.normal(size=shape) * 3.0
+    if x.size:
+        x[0] = 0.0
+    quant = quantize_symmetric_per_channel(x, bits)
+    values, scales = _whole_tensor_per_channel(x, bits)
+    assert quant.values.dtype == (np.int8 if bits <= 8 else np.int16)
+    assert quant.values.shape == x.shape
+    np.testing.assert_array_equal(quant.values, values)
+    np.testing.assert_array_equal(quant.scales, scales)
 
 
 def test_split_combine_roundtrip_unsigned():

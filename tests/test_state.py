@@ -4,6 +4,7 @@ state/request mismatch rejection, content keys, format versioning and the
 LRU + disk cache."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +14,18 @@ from repro.context import ArchSpec, SimContext
 from repro.engine import (
     EngineError,
     NetworkExecutor,
+    NetworkParams,
     ProgrammedState,
     ProgrammedStateCache,
     program,
     state_key,
 )
+from repro.engine.packed import level_conductances, pack_weights
 from repro.engine.state import STATE_FORMAT
+from repro.nn.layers import TensorShape
 from repro.nn.models import build_model
+from repro.nn.network import NetworkBuilder
+from repro.nn.quantization import quantize_symmetric_per_channel
 
 #: cell splits exercised by the round-trip matrix: 8-bit weights over
 #: 8-bit cells (1 slice), 4-bit cells (2 slices) and 2-bit cells (4 slices)
@@ -162,6 +168,18 @@ def test_load_rejects_missing_and_wrong_format(tmp_path):
         meta.read_text().replace(f'"format": {STATE_FORMAT}', '"format": 999')
     )
     with pytest.raises(EngineError, match="format"):
+        ProgrammedState.load(path)
+
+
+def test_load_rejects_a_format_3_state_naming_the_format(tmp_path):
+    """A state of float64 conductances (format 3) is refused, not decoded."""
+    path, _, _ = _saved_state(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["format"] = 3
+    for layer in meta["layers"]:
+        layer["conductances"] = layer.pop("levels")
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(EngineError, match="format 3"):
         ProgrammedState.load(path)
 
 
@@ -371,3 +389,192 @@ def test_cache_evicts_a_corrupt_disk_entry_and_reprograms(tmp_path):
     again = ProgrammedStateCache(root=tmp_path / "cache")
     _, source2 = again.get_or_program(network, ctx)
     assert source2 == "disk"
+
+
+# ---------------------------------------------------------------------------
+# tampered level payloads
+# ---------------------------------------------------------------------------
+
+def _tamper(path, name, array):
+    np.save(path / name, array)
+    return re.escape(str(path / name))
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+def test_load_rejects_levels_that_are_not_unsigned(tmp_path, mmap):
+    path, _, _ = _saved_state(tmp_path)
+    levels = np.load(path / "L000_levels1.npy")
+    for bad in (levels.astype(np.int8), levels.astype(np.float64)):
+        where = _tamper(path, "L000_levels1.npy", bad)
+        with pytest.raises(EngineError, match=where + ".*not unsigned"):
+            ProgrammedState.load(path, mmap=mmap)
+
+
+def test_load_rejects_slices_of_different_shapes(tmp_path):
+    path, _, _ = _saved_state(tmp_path)
+    levels = np.load(path / "L001_levels1.npy")
+    where = _tamper(path, "L001_levels1.npy", levels[:, :-1])
+    with pytest.raises(EngineError, match=where + ".*differ"):
+        ProgrammedState.load(path, mmap=True)
+
+
+def test_load_rejects_a_slice_count_the_arch_does_not_use(tmp_path):
+    path, _, _ = _saved_state(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["layers"][0]["levels"].pop()
+    (path / "meta.json").write_text(json.dumps(meta))
+    where = re.escape(str(path / "meta.json"))
+    with pytest.raises(EngineError, match=where + ".*1 level tensors.*needs 2"):
+        ProgrammedState.load(path)
+
+
+def test_stream_layer_rechecks_the_payload_it_opens(tmp_path):
+    """Streaming re-opens files after load, so it checks them again."""
+    path, _, _ = _saved_state(tmp_path)
+    state = ProgrammedState.load(path, mmap=True)
+    levels = np.load(path / "L000_levels0.npy")
+    where = _tamper(path, "L000_levels0.npy", levels.astype(np.int16))
+    with pytest.raises(EngineError, match=where):
+        state.stream_layer(0)
+
+
+def test_loaded_levels_are_lazy_unsigned_memory_maps(tmp_path):
+    path, _, _ = _saved_state(tmp_path)
+    for layer in ProgrammedState.load(path, mmap=True).layers:
+        assert all(isinstance(levels, np.memmap) for levels in layer.levels)
+        assert all(levels.dtype == np.uint8 for levels in layer.levels)
+
+
+# ---------------------------------------------------------------------------
+# parameters must belong to the request
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (NetworkParams(build_model("tiny_cnn"), 7), "seed 7 != 1"),
+        (NetworkParams(build_model("tiny_mlp"), 1), "network 'tiny_mlp' != 'tiny_cnn'"),
+    ],
+)
+def test_params_for_another_seed_or_network_are_rejected(tmp_path, params, message):
+    """A state programmed from foreign parameters would carry the genuine
+    content key over a different payload, so every entry point refuses."""
+    network = build_model("tiny_cnn")
+    ctx = SimContext(seed=1)
+    match = re.escape(message)
+    with pytest.raises(EngineError, match=match):
+        program(network, ctx, params=params)
+    with pytest.raises(EngineError, match=match):
+        NetworkExecutor(network, ctx, params=params)
+    state = program(network, ctx)
+    with pytest.raises(EngineError, match=match):
+        NetworkExecutor(network, ctx, params=params, state=state)
+    cache = ProgrammedStateCache(root=tmp_path / "cache")
+    with pytest.raises(EngineError, match=match):
+        cache.get_or_program(network, ctx, params=params)
+    assert cache.get(state.key) is None  # nothing cached under the genuine key
+    # a warm cache does not serve them either
+    assert cache.get_or_program(network, ctx)[1] == "programmed"
+    with pytest.raises(EngineError, match=match):
+        cache.get_or_program(network, ctx, params=params)
+
+
+# ---------------------------------------------------------------------------
+# level payloads decode to exactly what format 3 stored
+# ---------------------------------------------------------------------------
+
+def _format3_conductances(q, arch, dtype):
+    """Format 3's analog payload, recomputed with its own arithmetic: int64
+    offset encoding and bit slicing over the flat memory-order view, then
+    cast, scale by ``g_step`` and offset by ``g_min`` in ``dtype``."""
+    q = q.astype(np.int64, order="K")
+    dtype = np.dtype(dtype)
+    if q.flags.c_contiguous:
+        flat = q.reshape(-1)
+    elif q.flags.f_contiguous:
+        flat = q.T.reshape(-1)
+    else:
+        flat = q
+
+    def like(result):
+        if result.shape == q.shape:
+            return result
+        if q.flags.c_contiguous:
+            return result.reshape(q.shape)
+        return result.reshape(q.shape[::-1]).T
+
+    cell = arch.cell_spec()
+    encoded = flat + 2 ** (arch.weight_bits - 1)
+    tensors = []
+    for s in range(arch.cols_per_weight):
+        levels = (encoded >> (arch.cell_bits * s)) & (2 ** arch.cell_bits - 1)
+        conductances = levels.astype(dtype)
+        conductances *= dtype.type(cell.g_step_s)
+        conductances += dtype.type(cell.g_min_s)
+        tensors.append(like(conductances))
+    return tensors
+
+
+def _im2col_stack(arch, groups, seed):
+    """Quantised conv weights stacked as ``program_layer`` stacks them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(6 * groups, 5, 3, 3))
+    values = quantize_symmetric_per_channel(weights, arch.weight_bits).values
+    per_group = 6
+    return np.stack(
+        [
+            values[g * per_group : (g + 1) * per_group].reshape(per_group, -1).T
+            for g in range(groups)
+        ]
+    )
+
+
+def _assert_same_bytes_and_layout(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.strides == ref.strides
+    assert got.flags.c_contiguous == ref.flags.c_contiguous
+    assert got.flags.f_contiguous == ref.flags.f_contiguous
+    assert got.tobytes(order="A") == ref.tobytes(order="A")
+
+
+@pytest.mark.parametrize(
+    "weight_bits,cell_bits", [(4, 4), (8, 8), (8, 4), (8, 2), (16, 4)]
+)
+@pytest.mark.parametrize("groups", [1, 3])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_levels_decode_to_the_format_3_conductances(weight_bits, cell_bits, groups, dtype):
+    arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
+    q = _im2col_stack(arch, groups, seed=weight_bits * 10 + cell_bits)
+    assert q.dtype == np.min_scalar_type(-(2 ** (weight_bits - 1) - 1))
+    encoded, levels = pack_weights(q, arch, "analog", dtype)
+    assert encoded is None and len(levels) == arch.cols_per_weight
+    assert all(s.dtype == np.uint8 for s in levels)
+    cell = arch.cell_spec()
+    reference = _format3_conductances(q, arch, dtype)
+    for stored, ref in zip(levels, reference):
+        decoded = level_conductances(stored, cell.g_min_s, cell.g_step_s, dtype)
+        _assert_same_bytes_and_layout(decoded, ref)
+
+
+def _grouped_net():
+    builder = NetworkBuilder("grouped", TensorShape(4, 8, 8))
+    builder.conv(8, 3, padding=1, name="conv1").relu()
+    builder.conv(12, 3, padding=1, groups=2, name="conv2").relu()
+    builder.fc(5, name="fc")
+    return builder.build()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("mmap", [False, True])
+def test_reloaded_levels_decode_to_what_format_3_reloaded(tmp_path, dtype, mmap):
+    """Through save and load the decoded conductances equal a format-3
+    payload's own save/load round trip: np.save keeps F order and writes
+    any other strided stack in C order, for levels and conductances alike."""
+    network = _grouped_net()
+    ctx = SimContext(arch=ArchSpec(rows=16, cols=16), compute_dtype=dtype)
+    state = program(network, ctx, "analog")
+    loaded = ProgrammedState.load(state.save(tmp_path / "state"), mmap=mmap)
+    for i, (fresh, back) in enumerate(zip(state.layers, loaded.layers)):
+        for s, (ref, got) in enumerate(zip(fresh.conductances, back.conductances)):
+            np.save(tmp_path / f"ref{i}{s}.npy", ref)
+            _assert_same_bytes_and_layout(got, np.load(tmp_path / f"ref{i}{s}.npy"))

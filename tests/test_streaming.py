@@ -64,23 +64,25 @@ def test_streamed_crossbars_and_bytes_match_resident(tmp_path):
     streamed = NetworkExecutor.from_state(state, network, ctx, stream=True)
     assert streamed.crossbars == resident.crossbars
     # a streaming executor wires nothing up front, so it reports the whole
-    # backing payload (weights plus scales/bias); the resident figure counts
-    # just the wired matmul tensors and can only be smaller
+    # stored payload (one-byte cell levels plus scales/bias); the resident
+    # figure counts what the wired layers' GEMMs read: the exact-level path
+    # holds every level tensor as float32
     assert streamed.programmed_bytes == state.nbytes
-    assert resident.programmed_bytes <= streamed.programmed_bytes
+    stored = sum(levels.nbytes for layer in state.layers for levels in layer.levels)
+    assert resident.programmed_bytes == 4 * stored
 
 
 def test_stream_layer_opens_fresh_mmap_handles(tmp_path):
     state, _, _ = _disk_state(tmp_path)
     first = state.stream_layer(0)
     second = state.stream_layer(0)
-    payload = first.conductances[0]
+    payload = first.levels[0]
     assert isinstance(payload, np.memmap)
     # fresh handles per call: dropping one streamed layer cannot invalidate
     # another, and nothing aliases the arrays the loaded state holds
-    assert payload is not second.conductances[0]
-    assert payload is not state.layers[0].conductances[0]
-    assert np.array_equal(np.asarray(payload), np.asarray(second.conductances[0]))
+    assert payload is not second.levels[0]
+    assert payload is not state.layers[0].levels[0]
+    assert np.array_equal(np.asarray(payload), np.asarray(second.levels[0]))
 
 
 def test_stream_layer_without_backing_files_serves_resident_layers():
@@ -112,7 +114,8 @@ def test_float32_state_roundtrip_and_distinct_key(tmp_path):
     assert state_key(network.name, arch, "analog", 0, "float32") != (
         state_key(network.name, arch, "analog", 0, "float64")
     )
-    # and the payload really is single precision
+    # the payload is one-byte cell levels, and they decode in single precision
+    assert loaded.layers[0].levels[0].dtype == np.uint8
     assert loaded.layers[0].conductances[0].dtype == np.float32
 
 
