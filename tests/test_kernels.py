@@ -15,8 +15,9 @@ import pytest
 
 from repro.circuits.noise import stable_seed
 from repro.circuits.timing import TimeDomainChainSpec
-from repro.context import SimContext
-from repro.engine import NetworkExecutor
+from repro.context import ArchSpec, SimContext
+from repro.engine import NetworkExecutor, PackedMatmul, relative_error
+from repro.engine.packed import level_conductances, pack_weights
 from repro.kernels import dispatch
 from repro.kernels.dispatch import (
     KERNEL_TIERS,
@@ -194,6 +195,59 @@ def test_level_chain_matches_numpy_on_strided_chunks(tier):
         )
     np.testing.assert_array_equal(work_got, work_ref)
     np.testing.assert_array_equal(full_got[:, 7:], full_ref[:, 7:])
+
+
+# -- cell levels: the programmed payload is the level chain's operand --------
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("src", [np.float64, np.float32])
+@pytest.mark.parametrize("dst", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_cell_levels_recover_programmed_levels(tier, src, dst, order, monkeypatch):
+    """A (2, 40, 21) stack programmed in ``src`` precision: its stored
+    levels recover the weights, decode to ``src`` conductances that give
+    them back exactly on the level grid, and reach the level GEMM as
+    ``dst`` (float32 while dot_max fits its mantissa, float64 past it) in
+    the weights' memory layout; the read-out on ``tier`` is the numpy
+    tier's, bit for bit, and the exact integer products."""
+    input_bits = 8 if dst == np.float32 else 20
+    arch = ArchSpec(rows=16, cols=16, input_bits=input_bits)
+    rng = np.random.default_rng(stable_seed("kernels", "levels", "programmed"))
+    q = rng.integers(-127, 128, size=(2, 40, 21))
+    q = np.asfortranarray(q) if order == "F" else q
+    encoded, stored = pack_weights(q, arch, "analog", src)
+    assert encoded is None and len(stored) == arch.cols_per_weight
+    weights = sum(
+        s.astype(np.int64) << (arch.cell_bits * i) for i, s in enumerate(stored)
+    )
+    np.testing.assert_array_equal(weights - 2 ** (arch.weight_bits - 1), q)
+    cell = arch.cell_spec()
+    for levels in stored:
+        assert levels.dtype == np.uint8 and levels.flags[f"{order}_CONTIGUOUS"]
+        g = level_conductances(levels, cell.g_min_s, cell.g_step_s, src)
+        real = g.dtype.type
+        assert g.dtype == np.dtype(src) and g.strides == tuple(
+            s * g.itemsize for s in levels.strides
+        )
+        recovered = np.rint((g - real(cell.g_min_s)) / real(cell.g_step_s))
+        np.testing.assert_array_equal(recovered, levels)
+        np.testing.assert_array_equal(recovered * real(cell.g_step_s) + real(cell.g_min_s), g)
+
+    ctx = SimContext(arch=arch, compute_dtype=np.dtype(src).name)
+    packed = PackedMatmul.from_packed(None, stored, ctx)
+    assert packed.readout_path == "levels" and packed.gemm_dtype == np.dtype(dst)
+    for levels, operand in zip(stored, packed._levels):
+        assert operand.strides == tuple(s * operand.itemsize for s in levels.strides)
+        np.testing.assert_array_equal(operand, levels)
+    codes = rng.integers(0, 2**input_bits, size=(9, 2 * 40))
+    monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    ref = packed.matmul(codes)
+    monkeypatch.setenv("REPRO_KERNEL", tier)
+    got = packed.matmul(codes)
+    np.testing.assert_array_equal(got, ref)
+    exact = np.hstack([codes[:, g * 40 : (g + 1) * 40] @ w for g, w in enumerate(q)])
+    assert relative_error(got, exact) <= 1e-9
 
 
 # -- float32: within float rounding of the numpy float32 chain ----------------
