@@ -8,7 +8,8 @@ the pure-numpy float reference.  See :class:`NetworkExecutor` for the
 pipeline and the ``run`` subcommand of ``python -m repro.sim`` for the CLI.
 
 * :mod:`repro.engine.params` — deterministic weight/bias generation,
-* :mod:`repro.engine.reference` — the exact float forward pass,
+* :mod:`repro.engine.reference` — the exact float forward pass
+  (:func:`reference_forward_batch`, batch-first),
 * :mod:`repro.engine.packed` — packed per-slice vectorized execution
   (one batched matmul per layer slice),
 * :mod:`repro.engine.state` — the programmed-chip artifact
@@ -33,12 +34,7 @@ from repro.engine.executor import (
 )
 from repro.engine.packed import PackedMatmul
 from repro.engine.params import LayerParams, NetworkParams
-from repro.engine.reference import (
-    reference_forward,
-    reference_forward_batch,
-    validate_sequential,
-    validate_supported,
-)
+from repro.engine.reference import reference_forward_batch, validate_supported
 from repro.engine.state import (
     LayerState,
     ProgrammedState,
@@ -63,8 +59,6 @@ __all__ = [
     "LayerParams",
     "NetworkParams",
     "PackedMatmul",
-    "reference_forward",
     "reference_forward_batch",
-    "validate_sequential",
     "validate_supported",
 ]

@@ -31,7 +31,7 @@ exactly the codes of ``N`` single-image runs) while every matmul amortises
 over the whole batch.
 
 A run is validated against the pure-numpy reference
-(:func:`repro.engine.reference.reference_forward`) with identical
+(:func:`repro.engine.reference.reference_forward_batch`) with identical
 parameters; the per-layer relative errors quantify what quantisation and
 the analog chains cost in accuracy — the paper's core claim is that with
 noise disabled this error stays at the quantisation floor.  Throughput
@@ -55,7 +55,6 @@ from repro.engine.reference import (
     apply_aux_batched,
     check_activation_shape,
     conv_padding,
-    reference_forward,
     reference_forward_batch,
     validate_supported,
 )
@@ -574,10 +573,6 @@ class NetworkExecutor:
             0.0, 1.0, size=(n, shape.channels, shape.height, shape.width)
         )
 
-    def run_reference(self, x: np.ndarray) -> np.ndarray:
-        """The float reference output for ``x`` with this executor's weights."""
-        return reference_forward(self.network, self.params, x)[0]
-
     def run(
         self,
         x: Optional[np.ndarray] = None,
@@ -604,12 +599,12 @@ class NetworkExecutor:
         single = act.ndim == 3
         if single:
             batch = act[None]
-        elif act.ndim == 4:
+        elif act.ndim == 4 and act.shape[0] > 0:
             batch = act
         else:
             raise EngineError(
                 "engine inputs must be (channels, height, width) images or "
-                f"(batch, channels, height, width) batches, got shape {act.shape}"
+                f"non-empty (batch, channels, height, width) batches, got shape {act.shape}"
             )
         if np.any(batch < 0):
             raise EngineError("engine inputs must be non-negative (unsigned input codes)")

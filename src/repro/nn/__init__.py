@@ -12,8 +12,8 @@ CNN/DNN workload:
   SqueezeNet),
 * :mod:`repro.nn.statistics` — per-layer/per-network MAC, weight and
   activation statistics,
-* :mod:`repro.nn.functional` — numpy reference kernels (conv, fc, pooling,
-  activation) used by the accuracy study and circuit cross-checks,
+* :mod:`repro.nn.functional` — the batch-first numpy float kernels (conv,
+  fc, pooling, ReLU) of the engine's float reference,
 * :mod:`repro.nn.quantization` — linear quantisation helpers.
 """
 

@@ -1,20 +1,20 @@
-"""Numpy reference kernels.
+"""Numpy float kernels of the engine's float reference.
 
-These kernels provide a framework-free functional execution path used by the
-circuit unit tests, which cross-check the analog crossbar / time-domain
-dot-product models (:mod:`repro.circuits`) against these exact
-implementations.  The ``matmul`` hooks on :func:`conv2d` and
-:func:`fully_connected` let accuracy studies inject the behavioural crossbar
-model in place of the ideal dot product.
+:func:`repro.engine.reference.reference_forward_batch` runs every conv and
+FC layer through :func:`conv2d` and :func:`fully_connected`, and the
+crossbar engine is validated against that pass.  Neither kernel calls into
+:mod:`repro.kernels`, so the reference's dot products share no code with
+the engine they check.  :func:`relu` and the pooling kernels serve both
+paths through :func:`repro.engine.reference.apply_aux_batched`.
 
-All kernels operate on single images (no batch dimension) laid out as
-``(channels, height, width)``, matching :class:`repro.nn.layers.TensorShape`,
-except where noted.
+Conv and FC kernels take a leading batch axis, ``(N, C, H, W)``.  The
+pooling kernels take ``(C, H, W)`` planes; batched callers fold the batch
+into the channel axis, which the per-channel reductions treat identically.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,45 +25,16 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=axis, keepdims=True)
-
-
-def pad_spatial(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two trailing spatial dimensions of a (C, H, W) tensor."""
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="constant")
-
-
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
-    """Unfold a (C, H, W) tensor into convolution patches.
-
-    Returns
-    -------
-    cols:
-        Array of shape ``(out_h * out_w, C * kernel * kernel)`` — one row per
-        output position, matching how inputs are presented to a crossbar.
-    out_h, out_w:
-        Spatial output dimensions.
-    """
-    cols, out_h, out_w = im2col_batch(x[None], kernel, stride, pad)
-    return cols[0], out_h, out_w
-
-
 def im2col_batch(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Batched :func:`im2col`: unfold ``(N, C, H, W)`` into patches per image.
+    """Unfold an ``(N, C, H, W)`` batch into convolution patches per image.
 
     Returns ``(cols, out_h, out_w)`` with ``cols`` of shape
-    ``(N, out_h * out_w, C * kernel * kernel)`` — image ``n``'s slice equals
-    ``im2col(x[n], ...)`` exactly (the single-image kernel delegates here),
-    so the batched engine path sees the same codes as ``N`` single-image
-    calls while gathering all patches in one strided copy.
+    ``(N, out_h * out_w, C * kernel * kernel)`` — one row per output
+    position, matching how inputs are presented to a crossbar.  Each image's
+    rows depend on that image alone, and all patches are gathered in one
+    strided copy.
 
     This is the float reference's im2col.  The engine's conv path gathers
     the same rows, already as its row-major GEMM operand, through
@@ -95,25 +66,25 @@ def im2col_batch(
 
 
 def _im2col_loop(x: np.ndarray, kernel: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
-    """Naive per-output-position loop reference for :func:`im2col`.
+    """Naive per-output-position loop reference for :func:`im2col_batch`.
 
     Kept (not exported) so the vectorization micro-benchmark can assert the
     strided path matches this reference bit-for-bit; see
-    ``tests/test_functional.py``.
+    ``tests/test_engine.py``.
     """
-    channels, height, width = x.shape
-    padded = pad_spatial(x, pad)
+    n, channels, height, width = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
     out_h = (height + 2 * pad - kernel) // stride + 1
     out_w = (width + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel/stride/pad combination produces empty output")
 
-    cols = np.empty((out_h * out_w, channels * kernel * kernel), dtype=padded.dtype)
+    cols = np.empty((n, out_h * out_w, channels * kernel * kernel), dtype=padded.dtype)
     row = 0
     for i in range(out_h):
         for j in range(out_w):
-            patch = padded[:, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[row] = patch.reshape(-1)
+            patch = padded[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            cols[:, row] = patch.reshape(n, -1)
             row += 1
     return cols, out_h, out_w
 
@@ -125,14 +96,13 @@ def conv2d(
     stride: int = 1,
     pad: int = 0,
     groups: int = 1,
-    matmul: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """2-D convolution via im2col.
+    """2-D convolution of a batch via im2col.
 
     Parameters
     ----------
     x:
-        Input tensor of shape ``(C, H, W)``.
+        Input batch of shape ``(N, C, H, W)``.
     weights:
         Weight tensor of shape ``(D, C // groups, Z, G)``.
     bias:
@@ -143,17 +113,15 @@ def conv2d(
         Grouped convolution: input channels are split into ``groups``
         contiguous blocks and output block ``g`` only sees input block ``g``
         (matching :class:`repro.nn.layers.Conv2D` semantics).
-    matmul:
-        Optional replacement for the matrix multiplication.  The accuracy
-        study passes the behavioural crossbar model here so that the same
-        functional path exercises the hardware model.
+
+    Returns the ``(N, D, out_h, out_w)`` output.
     """
     out_channels, group_channels, kernel_h, kernel_w = weights.shape
     if kernel_h != kernel_w:
         raise ValueError("conv2d reference kernel assumes square filters")
     if groups <= 0:
         raise ValueError("groups must be positive")
-    in_channels = x.shape[0]
+    n, in_channels, _, _ = x.shape
     if in_channels % groups != 0 or out_channels % groups != 0:
         raise ValueError(
             f"groups={groups} must divide input channels ({in_channels}) and "
@@ -165,35 +133,30 @@ def conv2d(
             f"got {group_channels}"
         )
 
-    multiply = matmul if matmul is not None else np.matmul
     group_out = out_channels // groups
     outputs = []
     for g in range(groups):
-        x_g = x[g * group_channels : (g + 1) * group_channels]
+        x_g = x[:, g * group_channels : (g + 1) * group_channels]
+        cols, out_h, out_w = im2col_batch(x_g, kernel_h, stride, pad)
         w_g = weights[g * group_out : (g + 1) * group_out]
-        cols, out_h, out_w = im2col(x_g, kernel_h, stride, pad)
-        weight_matrix = w_g.reshape(group_out, -1).T  # (C/groups*Z*G, D/groups)
-        outputs.append(multiply(cols, weight_matrix))  # (out_h*out_w, D/groups)
-    out = np.concatenate(outputs, axis=1)  # (out_h*out_w, D)
+        outputs.append(cols @ w_g.reshape(group_out, -1).T)  # (N, P, D/groups)
+    out = np.concatenate(outputs, axis=2)  # (N, P, D)
     if bias is not None:
         out = out + bias
-    return out.T.reshape(out_channels, out_h, out_w)
+    return out.transpose(0, 2, 1).reshape(n, out_channels, out_h, out_w)
 
 
 def fully_connected(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    matmul: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    x: np.ndarray, weights: np.ndarray, bias: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Dense layer: ``y = x @ W^T + b`` with ``W`` of shape (out, in)."""
-    flat = x.reshape(-1)
-    if flat.shape[0] != weights.shape[1]:
+    """Dense layer over a batch: ``y = x @ W^T + b`` with ``W`` of shape
+    (out, in), each image of ``x`` flattened to one row."""
+    flat = x.reshape(x.shape[0], -1)
+    if flat.shape[1] != weights.shape[1]:
         raise ValueError(
-            f"expected {weights.shape[1]} input features, got {flat.shape[0]}"
+            f"expected {weights.shape[1]} input features, got {flat.shape[1]}"
         )
-    multiply = matmul if matmul is not None else np.matmul
-    out = multiply(flat[None, :], weights.T)[0]
+    out = flat @ weights.T
     if bias is not None:
         out = out + bias
     return out
@@ -268,7 +231,7 @@ def _pool2d_loop(
     """Naive per-output-position loop reference for :func:`_pool2d`.
 
     Kept (not exported) for the vectorization micro-benchmark; see
-    ``tests/test_functional.py``.
+    ``tests/test_engine.py``.
     """
     x, out_h, out_w, stride = _pool2d_padded(x, kernel, stride, pad, fill)
     channels = x.shape[0]
@@ -278,19 +241,3 @@ def _pool2d_loop(
             window = x[:, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
             out[:, i, j] = reducer(window.reshape(channels, -1), axis=1)
     return out
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Global average pooling of a (C, H, W) tensor to a (C,) vector."""
-    return x.reshape(x.shape[0], -1).mean(axis=1)
-
-
-def batch_norm(
-    x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Inference-time batch normalisation with pre-folded statistics.
-
-    ``scale`` and ``shift`` are per-channel and already include the running
-    mean/variance, i.e. ``y = scale * x + shift``.
-    """
-    return x * scale[:, None, None] + shift[:, None, None]

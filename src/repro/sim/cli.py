@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -628,8 +629,9 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         arch = _arch_from_args(args)
-        if args.noise < 0:
-            raise ValueError("--noise scale must be non-negative")
+        # SweepGrid's rule for noise scales: NaN passes a bare `< 0` check
+        if not math.isfinite(args.noise) or args.noise < 0:
+            raise ValueError("--noise scale must be finite and non-negative")
         if args.stream and args.state_cache is None:
             raise ValueError("--stream needs --state-cache (a disk-backed state)")
         if args.mmap and args.state_cache is None:
@@ -998,8 +1000,8 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError("--workers must be non-negative")
         if args.max_retries < 0:
             raise ValueError("--max-retries must be non-negative")
-        if args.trial_timeout < 0:
-            raise ValueError("--trial-timeout must be non-negative")
+        if not math.isfinite(args.trial_timeout) or args.trial_timeout < 0:
+            raise ValueError("--trial-timeout must be finite and non-negative")
         kernel = default_kernel()  # a bad REPRO_KERNEL fails here, not mid-run
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)

@@ -157,6 +157,16 @@ class SweepGrid:
             raise ValueError("noise scales must be finite and non-negative")
         if not self.cell_bits or any(bits <= 0 for bits in self.cell_bits):
             raise ValueError("cell_bits entries must be positive")
+        # every trial builds these (TrialSpec.context, the pool's group
+        # key): reject a bad geometry here, before any trial runs
+        for bits in self.cell_bits:
+            ArchSpec(
+                rows=self.rows,
+                cols=self.cols,
+                cell_bits=bits,
+                weight_bits=self.weight_bits,
+                input_bits=self.input_bits,
+            )
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from: {SWEEP_MODES}")
         bad_dtypes = [d for d in self.compute_dtypes if d not in COMPUTE_DTYPES]

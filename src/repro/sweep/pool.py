@@ -457,8 +457,11 @@ def run_sweep(
         raise ValueError("max_retries must be non-negative")
     if retry_backoff_s < 0:
         raise ValueError("retry_backoff_s must be non-negative")
-    if trial_timeout_s is not None and trial_timeout_s <= 0:
-        raise ValueError("trial_timeout_s must be positive (or None)")
+    # NaN passes a bare `<= 0` check and would disarm the stall watchdog
+    if trial_timeout_s is not None and (
+        not math.isfinite(trial_timeout_s) or trial_timeout_s <= 0
+    ):
+        raise ValueError("trial_timeout_s must be positive and finite (or None)")
     specs = grid.specs()
     if not resume:
         store.clear()

@@ -47,6 +47,14 @@ def test_invalid_crossbar_geometry_exits_2(capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--rows", "--cols", "--weight-bits", "--input-bits"])
+def test_sweep_invalid_geometry_exits_2(flag, tmp_path, capsys):
+    args = ["sweep", "--model", "tiny_mlp", "--trials", "1", "--noise-grid", "0"]
+    assert cli.main(args + ["--output", str(tmp_path / "r.jsonl"), flag, "0"]) == 2
+    assert "invalid sweep configuration" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_list_models_exits_0(capsys):
     assert cli.main(["--list-models"]) == 0
     out = capsys.readouterr().out
@@ -250,6 +258,12 @@ def test_run_branching_model_succeeds(capsys):
 def test_run_negative_noise_exits_2(capsys):
     assert cli.main(["run", "--model", "tiny_mlp", "--noise", "-1"]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+    # non-finite scales: NaN would run noiseless (and print NaN into --json),
+    # inf would report a NaN rel_error
+    for scale in ("nan", "inf"):
+        assert cli.main(["run", "--model", "tiny_mlp", "--noise", scale, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "finite and non-negative" in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

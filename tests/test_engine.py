@@ -14,10 +14,9 @@ from repro.engine import (
     EngineError,
     NetworkExecutor,
     NetworkParams,
-    reference_forward,
     reference_forward_batch,
     run_network,
-    validate_sequential,
+    validate_supported,
 )
 from repro.nn import functional as F
 from repro.nn.models import build_model
@@ -155,21 +154,23 @@ def test_engine_rejects_negative_inputs():
 
 def test_validate_sequential_accepts_the_mnist_models():
     for name in ("cnn_1", "mlp_l", "tiny_cnn", "tiny_mlp"):
-        validate_sequential(build_model(name))
+        network = build_model(name)
+        validate_supported(network)
+        assert network.is_sequential
 
 
 def test_reference_forward_resolves_every_layer_shape():
     network = build_model("cnn_1")
     params = NetworkParams(network, seed=0)
-    x = RNG.uniform(0.0, 1.0, size=(1, 28, 28))
-    out, activations = reference_forward(network, params, x)
-    assert out.shape == (10,)
+    x = RNG.uniform(0.0, 1.0, size=(1, 1, 28, 28))
+    out, activations = reference_forward_batch(network, params, x)
+    assert out.shape == (1, 10)
     assert len(activations) == len(network)
 
 
 def test_batched_validation_equals_per_image_validation():
-    """The batched reference pass must reproduce N per-image reference
-    forwards — the executor's validation now runs it once per batch instead
+    """The batched reference pass must reproduce N reference forwards of one
+    image each — the executor's validation runs it once per batch instead
     of once per image."""
     for name in ("cnn_1", "tiny_mlp"):
         network = build_model(name)
@@ -177,13 +178,13 @@ def test_batched_validation_equals_per_image_validation():
         batch = executor.random_batch(3)
         out, acts = reference_forward_batch(network, executor.params, batch)
         for n in range(batch.shape[0]):
-            single_out, single_acts = reference_forward(
-                network, executor.params, batch[n]
+            single_out, single_acts = reference_forward_batch(
+                network, executor.params, batch[n : n + 1]
             )
-            np.testing.assert_allclose(out[n], single_out, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[n], single_out[0], rtol=1e-12, atol=1e-12)
             for layer_name, act in single_acts.items():
                 np.testing.assert_allclose(
-                    acts[layer_name][n], act, rtol=1e-12, atol=1e-12
+                    acts[layer_name][n], act[0], rtol=1e-12, atol=1e-12
                 )
 
 
@@ -211,6 +212,15 @@ def test_reference_forward_batch_rejects_non_batches():
     params = NetworkParams(network, seed=0)
     with pytest.raises(EngineError):
         reference_forward_batch(network, params, np.zeros((1, 8, 8)))
+    with pytest.raises(EngineError, match=r"non-empty .* shape \(0, 1, 8, 8\)"):
+        reference_forward_batch(network, params, np.zeros((0, 1, 8, 8)))
+
+
+def test_engine_rejects_empty_batches():
+    executor = NetworkExecutor(build_model("cnn_1"), SimContext())
+    for validate in (True, False):
+        with pytest.raises(EngineError, match=r"non-empty .* shape \(0, 1, 28, 28\)"):
+            executor.run(np.zeros((0, 1, 28, 28)), validate=validate)
 
 
 def test_network_params_are_seed_deterministic_and_layer_local():
@@ -243,8 +253,8 @@ def test_vectorized_im2col_matches_loop_bit_for_bit():
         (4, 15, 3, 2, 1),
         (2, 9, 4, 3, 0),
     ]:
-        x = RNG.normal(size=(channels, size, size))
-        fast, oh, ow = F.im2col(x, kernel, stride, pad)
+        x = RNG.normal(size=(2, channels, size, size))
+        fast, oh, ow = F.im2col_batch(x, kernel, stride, pad)
         slow, oh2, ow2 = F._im2col_loop(x, kernel, stride, pad)
         assert (oh, ow) == (oh2, ow2)
         np.testing.assert_array_equal(fast, slow)
@@ -271,7 +281,7 @@ def test_vectorized_pool2d_matches_loop_bit_for_bit():
 def test_vectorized_im2col_is_at_least_10x_faster_on_a_vgg_layer():
     """Acceptance bar: >= 10x over the seed loop on a vgg_d conv layer
     (conv1_1 geometry: 3x224x224 input, 3x3 kernel, stride 1, pad 1)."""
-    x = RNG.normal(size=(3, 224, 224))
+    x = RNG.normal(size=(1, 3, 224, 224))
     loop_s = _best_of(lambda: F._im2col_loop(x, 3, 1, 1), repeats=2)
-    vec_s = _best_of(lambda: F.im2col(x, 3, 1, 1), repeats=5)
+    vec_s = _best_of(lambda: F.im2col_batch(x, 3, 1, 1), repeats=5)
     assert loop_s / vec_s >= 10.0, f"only {loop_s / vec_s:.1f}x"

@@ -1,9 +1,12 @@
-"""Functional-kernel tests: im2col kernels vs naive loops, incl. regressions
-for grouped convolution and padded pooling."""
+"""Functional-kernel tests: the batch-first conv/FC kernels and the pooling
+kernels vs naive loops, incl. regressions for grouped convolution and padded
+pooling."""
 
 import numpy as np
 import pytest
 
+from repro.engine import NetworkParams, reference_forward_batch
+from repro.nn import NetworkBuilder, TensorShape
 from repro.nn import functional as F
 
 RNG = np.random.default_rng(42)
@@ -44,32 +47,40 @@ def naive_pool2d(x, kernel, stride, pad, mode):
     return out
 
 
+def assert_matches_naive_per_image(out, x, weights, bias, stride, pad, groups):
+    assert out.shape[0] == x.shape[0]
+    for image, expected in zip(out, x):
+        np.testing.assert_allclose(
+            image, naive_conv2d(expected, weights, bias, stride, pad, groups), atol=1e-12
+        )
+
+
 def test_conv2d_matches_naive_dense():
-    x = RNG.normal(size=(3, 9, 9))
+    x = RNG.normal(size=(2, 3, 9, 9))
     w = RNG.normal(size=(5, 3, 3, 3))
     b = RNG.normal(size=5)
     out = F.conv2d(x, w, b, stride=2, pad=1)
-    np.testing.assert_allclose(out, naive_conv2d(x, w, b, 2, 1, 1), atol=1e-12)
+    assert_matches_naive_per_image(out, x, w, b, 2, 1, 1)
 
 
 def test_conv2d_grouped_matches_naive():
     # Regression: groups used to be silently ignored, computing a dense
     # matmul with mismatched weight shapes.
-    x = RNG.normal(size=(6, 8, 8))
+    x = RNG.normal(size=(2, 6, 8, 8))
     w = RNG.normal(size=(4, 3, 3, 3))  # 2 groups: 6 in / 4 out
     out = F.conv2d(x, w, stride=1, pad=1, groups=2)
-    np.testing.assert_allclose(out, naive_conv2d(x, w, None, 1, 1, 2), atol=1e-12)
+    assert_matches_naive_per_image(out, x, w, None, 1, 1, 2)
 
 
 def test_conv2d_depthwise_matches_naive():
-    x = RNG.normal(size=(4, 6, 6))
+    x = RNG.normal(size=(2, 4, 6, 6))
     w = RNG.normal(size=(4, 1, 3, 3))
     out = F.conv2d(x, w, groups=4, pad=1)
-    np.testing.assert_allclose(out, naive_conv2d(x, w, None, 1, 1, 4), atol=1e-12)
+    assert_matches_naive_per_image(out, x, w, None, 1, 1, 4)
 
 
 def test_conv2d_validates_group_divisibility():
-    x = RNG.normal(size=(6, 8, 8))
+    x = RNG.normal(size=(1, 6, 8, 8))
     with pytest.raises(ValueError):
         F.conv2d(x, RNG.normal(size=(5, 3, 3, 3)), groups=2)  # 5 outputs % 2 != 0
     with pytest.raises(ValueError):
@@ -127,19 +138,24 @@ def test_pool_shape_matches_descriptor_inference():
 
 
 def test_fully_connected_matches_matmul():
-    x = RNG.normal(size=(4, 3, 3))
+    x = RNG.normal(size=(2, 4, 3, 3))
     w = RNG.normal(size=(10, 36))
     b = RNG.normal(size=10)
-    np.testing.assert_allclose(
-        F.fully_connected(x, w, b), w @ x.reshape(-1) + b, atol=1e-12
-    )
+    out = F.fully_connected(x, w, b)
+    assert out.shape == (2, 10)
+    for image, expected in zip(out, x):
+        np.testing.assert_allclose(image, w @ expected.reshape(-1) + b, atol=1e-12)
+    with pytest.raises(ValueError, match="expected 36 input features"):
+        F.fully_connected(x[:, :3], w, b)
 
 
 def test_relu_softmax_batch_norm():
-    x = RNG.normal(size=(3, 4, 4))
-    assert np.all(F.relu(x) >= 0)
-    probs = F.softmax(RNG.normal(size=10))
-    assert probs.sum() == pytest.approx(1.0)
-    scale, shift = RNG.normal(size=3), RNG.normal(size=3)
-    out = F.batch_norm(x, scale, shift)
-    np.testing.assert_allclose(out[1], x[1] * scale[1] + shift[1], atol=1e-12)
+    # ReLU and folded batch-norm as the float reference applies them
+    network = NetworkBuilder("bn", TensorShape(3, 4, 4)).batch_norm(name="bn").relu().build()
+    params = NetworkParams(network, seed=0)
+    x = RNG.normal(size=(2, 3, 4, 4))
+    out, acts = reference_forward_batch(network, params, x)
+    scale, shift = params["bn"].scale, params["bn"].shift
+    np.testing.assert_allclose(acts["bn"][:, 1], x[:, 1] * scale[1] + shift[1], atol=1e-12)
+    np.testing.assert_array_equal(out, F.relu(acts["bn"]))
+    assert np.all(out >= 0)

@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from repro.context import ArchSpec, SimContext
-from repro.engine import (
-    EngineError,
-    NetworkExecutor,
-    reference_forward,
-    validate_sequential,
-)
+from repro.engine import EngineError, NetworkExecutor, reference_forward_batch
+from repro.engine.reference import apply_aux_batched
 from repro.nn import (
     NETWORK_INPUT,
     ElementwiseAdd,
@@ -195,7 +191,7 @@ def test_linear_models_stay_sequential_and_bit_for_bit(name):
     output is bit-identical to executing the same mapped layers as a flat
     list (the pre-graph numeric path)."""
     network = build_model(name)
-    validate_sequential(network)  # still a chain
+    assert network.is_sequential  # still a chain
     ctx = SimContext()
     executor = NetworkExecutor(network, ctx, mode="analog")
     x = executor.random_input()
@@ -203,8 +199,6 @@ def test_linear_models_stay_sequential_and_bit_for_bit(name):
 
     # replay the flat chain by hand with the executor's own programmed
     # layers and shared aux kernels
-    from repro.engine.reference import apply_aux_batched
-
     acts = x[None]
     for inst in network:
         if inst.name in executor._compute:
@@ -290,9 +284,9 @@ def test_fire_module_engine_matches_reference():
     traces = result.trace_by_name()
     assert traces["cat"].crossbars == 0
     params = NetworkExecutor(network, SimContext()).params
-    _, acts = reference_forward(network, params, np.zeros((8, 16, 16)) + 0.5)
+    _, acts = reference_forward_batch(network, params, np.zeros((1, 8, 16, 16)) + 0.5)
     np.testing.assert_array_equal(
-        acts["cat"], np.concatenate([acts["e1_relu"], acts["e3_relu"]], axis=0)
+        acts["cat"], np.concatenate([acts["e1_relu"], acts["e3_relu"]], axis=1)
     )
 
 
@@ -300,12 +294,10 @@ def test_branching_reference_forward_single_and_batch_agree():
     network = build_model("resnet_smoke")
     executor = NetworkExecutor(network, SimContext())
     batch = executor.random_batch(2)
-    from repro.engine import reference_forward_batch
-
     out, _ = reference_forward_batch(network, executor.params, batch)
     for n in range(2):
-        single, _ = reference_forward(network, executor.params, batch[n])
-        np.testing.assert_allclose(out[n], single, rtol=1e-12, atol=1e-12)
+        single, _ = reference_forward_batch(network, executor.params, batch[n : n + 1])
+        np.testing.assert_allclose(out[n], single[0], rtol=1e-12, atol=1e-12)
 
 
 def test_engine_error_names_unsupported_layer():
@@ -316,3 +308,5 @@ def test_engine_error_names_unsupported_layer():
     inst = _inst(Mystery(name="whodunnit"), shape, 0, (NETWORK_INPUT,))
     with pytest.raises(EngineError, match="'whodunnit' of kind 'mystery'"):
         NetworkExecutor(Network("m", shape, [inst]), SimContext())
+    with pytest.raises(EngineError, match="'whodunnit' of kind 'mystery' is not an aux"):
+        apply_aux_batched(inst, [np.zeros((1, 2, 4, 4))], None)

@@ -326,7 +326,7 @@ def test_im2col_matches_numpy(tier, shape, kernel, stride, pad):
             members = view[:, g * shape[1] // groups : (g + 1) * shape[1] // groups]
             part, _, _ = im2col_pack(members, kernel, stride=stride, pad=pad, kernel=tier)
             np.testing.assert_array_equal(got[:, g * width : (g + 1) * width], part)
-    # the rows are the historical per-image patches (functional.im2col)
+    # the rows are the float reference's patches (functional.im2col_batch)
     from repro.nn import functional as F
 
     cols, oh, ow = F.im2col_batch(x, kernel, stride, pad)

@@ -15,8 +15,10 @@ from repro.context import ArchSpec, SimContext
 from repro.engine import (
     EngineError,
     NetworkExecutor,
+    NetworkParams,
     PackedMatmul,
     program,
+    reference_forward_batch,
     relative_error,
     run_network,
 )
@@ -369,9 +371,37 @@ def test_im2col_batch_matches_per_image_im2col():
         x = RNG.normal(size=(n, channels, size, size))
         cols, oh, ow = F.im2col_batch(x, kernel, stride, pad)
         for i in range(n):
-            ref, oh2, ow2 = F.im2col(x[i], kernel, stride, pad)
+            ref, oh2, ow2 = F.im2col_batch(x[i : i + 1], kernel, stride, pad)
             assert (oh, ow) == (oh2, ow2)
-            np.testing.assert_array_equal(cols[i], ref)
+            np.testing.assert_array_equal(cols[i], ref[0])
+
+
+def test_float_reference_runs_without_the_engine_kernels(monkeypatch):
+    """The float reference shares no code with the engine it checks: with
+    the engine's im2col gather and fused read-out made to raise, wherever
+    they are bound, the reference still runs while the engine cannot."""
+    import repro.engine.executor as executor_module
+    import repro.engine.packed as packed_module
+    from repro.kernels import c_impl, dispatch, numpy_impl
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine kernel called")
+
+    # the tier modules too, so a name imported from dispatch elsewhere
+    # still lands on a refusing implementation
+    for module in (dispatch, executor_module, c_impl, numpy_impl):
+        monkeypatch.setattr(module, "im2col_pack", refuse)
+    for module in (dispatch, packed_module, c_impl, numpy_impl):
+        monkeypatch.setattr(module, "readout_fused", refuse)
+    for network in (build_model("resnet_smoke"), _grouped_conv_net()):
+        shape = network.input_shape
+        size = (2, shape.channels, shape.height, shape.width)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=size)
+        out, acts = reference_forward_batch(network, NetworkParams(network, seed=0), x)
+        assert out.shape[0] == 2 and np.all(np.isfinite(out))
+        assert len(acts) == len(network)
+        with pytest.raises(AssertionError, match="engine kernel called"):
+            NetworkExecutor(network, SimContext()).run(x, validate=False)
 
 
 def test_quantize_unsigned_batch_matches_per_image():

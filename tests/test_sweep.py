@@ -13,6 +13,7 @@ from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import NUMERICS_VERSION, SimContext
 from repro.engine import NetworkExecutor
 from repro.nn.models import build_model
+from repro.sim import cli
 from repro.sweep import (
     SweepGrid,
     SweepStore,
@@ -95,6 +96,10 @@ def test_grid_rejects_bad_configurations():
         SweepGrid(noise_scales=(float("inf"),))
     with pytest.raises(ValueError):
         SweepGrid(mode="warp")
+    # the crossbar geometry every trial builds is checked up front
+    for field in ("rows", "cols", "weight_bits", "input_bits"):
+        with pytest.raises(ValueError, match="must be positive"):
+            SweepGrid(**{field: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +604,14 @@ def test_sweep_rejects_bad_retry_configuration(tmp_path):
         run_sweep(TINY_GRID, store, retry_backoff_s=-0.1)
     with pytest.raises(ValueError, match="trial_timeout_s"):
         run_sweep(TINY_GRID, store, trial_timeout_s=0.0)
+    # NaN would disarm the stall watchdog; inf never fires it
+    for timeout in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="trial_timeout_s"):
+            run_sweep(TINY_GRID, store, trial_timeout_s=timeout)
+        args = ["sweep", "--model", "tiny_mlp", "--noise-grid", "0", "--trials", "1"]
+        args += ["--output", str(tmp_path / "cli.jsonl"), "--trial-timeout", str(timeout)]
+        assert cli.main(args) == 2
+    assert not (tmp_path / "cli.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
