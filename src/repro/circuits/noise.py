@@ -185,8 +185,9 @@ class HardwareNoiseConfig:
             "tdc_sigma",
             "reram_conductance_sigma",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative")
         # historical callers passed seed=None for "don't care"; stateless
         # seeding is always deterministic, so normalise to the default seed
         if self.seed is None:
@@ -205,8 +206,8 @@ class HardwareNoiseConfig:
         the *ratios* between the per-component sigmas stay at their
         Section-V defaults while the overall severity scales.
         """
-        if scale < 0:
-            raise ValueError("scale must be non-negative")
+        if not math.isfinite(scale) or scale < 0:
+            raise ValueError("noise scale must be finite and non-negative")
         base = cls(seed=seed)
         return cls(
             x_subbuf_sigma=base.x_subbuf_sigma * scale,

@@ -75,6 +75,9 @@ class ArchSpec:
     spare_rows: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("r_min_ohm", "r_max_ohm", "t_del_s", "v_dd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("crossbar dimensions must be positive")
         if self.spare_rows < 0:
@@ -285,10 +288,6 @@ class SimContext:
     def with_noise(self, noise: Optional["HardwareNoiseConfig"]) -> "SimContext":
         """A copy of this context with a different noise model."""
         return replace(self, noise=noise)
-
-    def with_faults(self, faults: Optional["FaultModel"]) -> "SimContext":
-        """A copy of this context with a different fault model."""
-        return replace(self, faults=faults)
 
     def ideal(self) -> "SimContext":
         """A copy of this context with all noise sources disabled."""

@@ -130,13 +130,6 @@ class NetworkEstimate:
         return self.total_operations / self.total_latency_ns
 
     @property
-    def effective_latency_ns(self) -> float:
-        """Pipelined latency when estimated, else the sequential sum."""
-        if self.pipelined_latency_ns is not None:
-            return self.pipelined_latency_ns
-        return self.total_latency_ns
-
-    @property
     def pipelined_gops(self) -> Optional[float]:
         """Throughput under cross-layer pipelining (None when not estimated)."""
         if self.pipelined_latency_ns is None:

@@ -477,7 +477,6 @@ class NetworkExecutor:
         else:
             check_params(params, network, self.ctx.seed)
         self.params = params
-        self.mapping = self.ctx.map_network(network)
         if state is None:
             state = program(network, self.ctx, mode, params=self.params)
         else:

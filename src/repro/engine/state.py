@@ -251,9 +251,16 @@ class ProgrammedState:
     #: requested packed compute precision (individual ideal-mode layers may
     #: have fallen back to float64 for exactness — see ``pack_weights``)
     compute_dtype: str = "float64"
-    #: where this state was loaded from (``None`` for in-process states);
-    #: set by :meth:`load` and what makes :meth:`stream_layer` possible
+    #: where this state was loaded from or persisted to (``None`` for
+    #: in-process states); set by :meth:`load` and
+    #: :meth:`ProgrammedStateCache.ensure_on_disk`, and what makes
+    #: :meth:`stream_layer` possible
     source_path: Optional[Path] = None
+    #: the ``layers`` entries of ``source_path``'s manifest, parsed on the
+    #: first :meth:`stream_layer` call
+    _entries: Optional[List[Dict[str, Any]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def key(self) -> str:
@@ -267,12 +274,6 @@ class ProgrammedState:
         """Total bytes of the stored tensors — cell levels (or ideal-mode
         ``encoded`` matrices), scales and biases: the save/load payload."""
         return sum(layer.nbytes for layer in self.layers)
-
-    def layer_by_name(self, name: str) -> LayerState:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(name)
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
@@ -433,9 +434,10 @@ class ProgrammedState:
             return template
         path = Path(self.source_path)
         try:
-            entry = json.loads((path / _META_NAME).read_text())["layers"][position]
+            if self._entries is None:
+                self._entries = json.loads((path / _META_NAME).read_text())["layers"]
             return _layer_from_entry(
-                entry,
+                self._entries[position],
                 path,
                 "r" if mmap else None,
                 self.arch,
@@ -517,18 +519,21 @@ class ProgrammedStateCache:
 
     def put(self, state: ProgrammedState) -> Optional[Path]:
         """Insert ``state`` (memory + disk); returns its disk path, if any."""
-        key = state.key
-        self._remember(key, state)
-        path = self.path_for(key)
-        if path is not None and not (path / _META_NAME).is_file():
-            state.save(path)
-        return path
+        self._remember(state.key, state)
+        return self.ensure_on_disk(state)
 
     def ensure_on_disk(self, state: ProgrammedState) -> Optional[Path]:
-        """Persist ``state`` if this cache has a disk root (idempotent)."""
+        """Persist ``state`` if this cache has a disk root (idempotent).
+
+        A state without backing files records the entry as its
+        ``source_path``, so it can stream from disk from then on.
+        """
         path = self.path_for(state.key)
-        if path is not None and not (path / _META_NAME).is_file():
-            state.save(path)
+        if path is not None:
+            if not (path / _META_NAME).is_file():
+                state.save(path)
+            if state.source_path is None:
+                state.source_path = path
         return path
 
     def get_or_program(

@@ -91,8 +91,8 @@ class FaultModel:
             raise ValueError("drift_nu must be finite and non-negative")
         if self.drift_time_s < 0 or not math.isfinite(self.drift_time_s):
             raise ValueError("drift_time_s must be finite and non-negative")
-        if self.drift_t0_s <= 0:
-            raise ValueError("drift_t0_s must be positive")
+        if not (math.isfinite(self.drift_t0_s) and self.drift_t0_s > 0):
+            raise ValueError("drift_t0_s must be finite and positive")
         if self.readout_saturation is not None and not (
             0.0 < self.readout_saturation <= 1.0
         ):

@@ -270,14 +270,6 @@ class Network:
         return [inst for inst in self._instances if inst.is_compute]
 
     @property
-    def conv_instances(self) -> List[LayerInstance]:
-        return [inst for inst in self._instances if inst.kind == "conv"]
-
-    @property
-    def fc_instances(self) -> List[LayerInstance]:
-        return [inst for inst in self._instances if inst.kind == "fc"]
-
-    @property
     def output_shape(self) -> TensorShape:
         return self._instances[-1].output_shape
 

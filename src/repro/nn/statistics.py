@@ -55,22 +55,6 @@ class NetworkStats:
     def total_weights(self) -> int:
         return sum(layer.weights for layer in self.layers)
 
-    @property
-    def total_input_elements(self) -> int:
-        return sum(layer.input_elements for layer in self.layers)
-
-    @property
-    def total_output_elements(self) -> int:
-        return sum(layer.output_elements for layer in self.layers)
-
-    @property
-    def conv_layers(self) -> List[LayerStats]:
-        return [layer for layer in self.layers if layer.kind == "conv"]
-
-    @property
-    def fc_layers(self) -> List[LayerStats]:
-        return [layer for layer in self.layers if layer.kind == "fc"]
-
     def by_name(self) -> Dict[str, LayerStats]:
         return {layer.name: layer for layer in self.layers}
 

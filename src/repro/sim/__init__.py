@@ -12,21 +12,15 @@
 
 from repro.sim.cli import (
     build_parser,
-    build_run_parser,
     estimate_to_dict,
     format_comparison,
     format_per_layer,
     main,
-    main_estimate,
-    main_run,
 )
 
 __all__ = [
     "main",
-    "main_estimate",
-    "main_run",
     "build_parser",
-    "build_run_parser",
     "estimate_to_dict",
     "format_comparison",
     "format_per_layer",

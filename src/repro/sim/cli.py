@@ -1,16 +1,18 @@
 """Command-line interface of the simulator.
 
-Four subcommands share one :class:`repro.context.SimContext`:
+:func:`build_parser` is the one argument-parser tree.  Its four
+subcommands share one :class:`repro.context.SimContext`:
 
-* ``estimate`` (the default when no subcommand is given, preserving the
-  historical ``python -m repro.sim --model ...`` invocation) — chip-level
-  energy / latency / area comparison across the TIMELY, PRIME-like and
-  ISAAC-like configurations, optionally with cross-layer-pipelined latency
-  and JSON output;
+* ``estimate`` (the default: a command line that does not start with a
+  subcommand runs it, preserving the historical ``python -m repro.sim
+  --model ...`` invocation) — chip-level energy / latency / area comparison
+  across the TIMELY, PRIME-like and ISAAC-like configurations, optionally
+  with cross-layer-pipelined latency and JSON output;
 * ``run`` — functional simulation: execute a model through its mapped
   crossbars with the time-domain circuit chains and report the end-to-end
-  output error against the float reference; ``--state-cache`` serves the
-  programming phase from the content-keyed programmed-state cache,
+  output error against the float reference.  The chip state always comes
+  from a :class:`repro.engine.ProgrammedStateCache`: memory-only, or the
+  content-keyed ``--state-cache`` directory, whose hits are memory-mapped.
   ``--compute-dtype float32`` / ``--chunk-bytes`` bound arithmetic cost
   and read-out transients, and ``--stream`` executes layer-by-layer from
   the cached state's backing files (peak wired weights = largest layer);
@@ -47,9 +49,6 @@ from repro.context import (
 from repro.energy.estimator import NetworkEstimate, compare_accelerators
 from repro.kernels.dispatch import default_kernel
 from repro.nn.models import build_model, list_models
-from repro.nn.network import Network
-
-_SUBCOMMANDS = ("estimate", "run", "program", "sweep")
 
 
 def _positive_int(text: str) -> int:
@@ -68,43 +67,6 @@ def _positive_int(text: str) -> int:
             f"must be a positive integer (got {value})"
         )
     return value
-
-
-def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rows", type=int, default=256, help="crossbar rows")
-    parser.add_argument("--cols", type=int, default=256, help="crossbar columns")
-    parser.add_argument("--cell-bits", type=int, default=4, help="bits per ReRAM cell")
-    parser.add_argument("--weight-bits", type=int, default=8, help="weight precision")
-    parser.add_argument("--input-bits", type=int, default=8, help="input precision")
-
-
-def _add_compute_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compute-dtype",
-        choices=COMPUTE_DTYPES,
-        default=COMPUTE_DTYPES[0],
-        help=(
-            "packed-engine payload precision: float64 (default) or float32 "
-            "(half the programmed memory; noisy/faulty analog layers run "
-            "their matmul and chain in single precision, noiseless ones "
-            "read out through exact levels either way; digital "
-            "recombination stays float64, and ideal-mode layers that would "
-            "lose integer exactness fall back per layer)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-bytes",
-        type=_positive_int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "bound the packed read-out working set: split the stacked "
-            "charge tensor into chunks of at most BYTES and run the "
-            "time-domain chain per chunk in place (omit for the "
-            "historical single-pass read-out, bit-identical to earlier "
-            "releases)"
-        ),
-    )
 
 
 def _peak_rss_mb(status_path: str = "/proc/self/status") -> Optional[float]:
@@ -229,69 +191,139 @@ def _fault_model_from_args(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``estimate`` argument parser (kept for backwards compatibility)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim",
+    """The CLI's argument-parser tree: one subparser per command.
+
+    A flag that several commands take is added by one ``add_argument`` call
+    looped over those commands.  Parent parsers would share one action
+    object between their children, so a per-command default (``program``'s
+    ``--state-cache``) set on one child would leak into the others.
+    """
+    parser = argparse.ArgumentParser(prog="python -m repro.sim")
+    commands = parser.add_subparsers(dest="command", required=True)
+    estimate = commands.add_parser(
+        "estimate",
         description=(
             "Estimate chip-level energy, latency and area of a DNN on the "
             "TIMELY, PRIME-like and ISAAC-like accelerator configurations."
         ),
+        epilog="Other commands: run, program, sweep (see COMMAND --help).",
     )
-    parser.add_argument(
-        "--model",
-        default="vgg_d",
-        help="model name from the zoo (default: vgg_d; see --list-models)",
-    )
-    parser.add_argument(
-        "--configs",
-        default="timely,prime,isaac",
-        help="comma-separated subset of: timely, prime, isaac",
-    )
-    _add_arch_arguments(parser)
-    parser.add_argument(
-        "--pipelined",
-        action="store_true",
-        help="also estimate single-image latency under cross-layer pipelining",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a JSON document instead of tables"
-    )
-    parser.add_argument(
-        "--no-per-layer",
-        action="store_true",
-        help="print only the totals comparison table",
-    )
-    parser.add_argument(
-        "--summary", action="store_true", help="also print the network summary"
-    )
-    parser.add_argument(
-        "--list-models", action="store_true", help="list available models and exit"
-    )
-    return parser
-
-
-def build_run_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim run",
+    run = commands.add_parser(
+        "run",
         description=(
             "Functionally simulate a model: push activations through the "
             "mapped crossbars via the time-domain circuit chains and report "
             "the output error against the float numpy reference."
         ),
     )
-    parser.add_argument(
-        "--model",
-        default="cnn_1",
-        help="model name from the zoo (default: cnn_1; see estimate --list-models)",
+    program = commands.add_parser(
+        "program",
+        description=(
+            "Program a model's weights onto crossbars and persist the "
+            "resulting chip state in a content-keyed cache directory — the "
+            "expensive one-time phase, amortised by every later "
+            "`run --state-cache` / `sweep --state-cache` invocation."
+        ),
     )
-    _add_arch_arguments(parser)
-    parser.add_argument(
-        "--mode",
-        choices=("analog", "ideal"),
-        default="analog",
-        help="tile read-out: full time-domain chains or exact integer",
+    sweep = commands.add_parser(
+        "sweep",
+        description=(
+            "Monte-Carlo accuracy sweep: run a (model x noise-scale x trial "
+            "x cell-bits x compute-dtype x stuck-fraction) grid of engine "
+            "trials through a process "
+            "pool, record each trial in a resumable JSON-lines store and "
+            "reduce the rows to mean/p95 relative error per noise scale."
+        ),
     )
-    parser.add_argument(
+
+    for command in (estimate, run, program, sweep):
+        command.add_argument(
+            "--model",
+            default="vgg_d" if command is estimate else "cnn_1",
+            help=(
+                "model name from the zoo; sweep takes a comma-separated list "
+                "(default: %(default)s; see estimate --list-models)"
+            ),
+        )
+        for flag, default, what in (
+            ("--rows", 256, "crossbar rows"),
+            ("--cols", 256, "crossbar columns"),
+            ("--weight-bits", 8, "weight precision"),
+            ("--input-bits", 8, "input precision"),
+        ):
+            command.add_argument(flag, type=int, default=default, help=what)
+        command.add_argument(
+            "--json", action="store_true", help="emit a JSON document instead of text"
+        )
+    for command in (estimate, run, program):
+        command.add_argument(
+            "--cell-bits", type=int, default=4, help="bits per ReRAM cell"
+        )
+    for command in (run, program, sweep):
+        command.add_argument(
+            "--mode",
+            choices=("analog", "ideal"),
+            default="analog",
+            help="tile read-out: full time-domain chains or exact integer",
+        )
+        command.add_argument(
+            "--seed",
+            type=int,
+            default=0,
+            help=(
+                "seed of the weights and input images (sweep derives its "
+                "per-trial noise seeds from it)"
+            ),
+        )
+        command.add_argument(
+            "--state-cache",
+            default=".state_cache" if command is program else None,
+            metavar="DIR",
+            help=(
+                "programmed-state cache directory: reuse the content-keyed "
+                "programmed chip state across invocations instead of "
+                "re-programming (created on first use; program defaults to "
+                ".state_cache, run and sweep keep states in memory without it)"
+            ),
+        )
+    for command in (run, program):
+        command.add_argument(
+            "--compute-dtype",
+            choices=COMPUTE_DTYPES,
+            default=COMPUTE_DTYPES[0],
+            help=(
+                "packed-engine payload precision: float64 (default) or "
+                "float32, part of the content key (noisy/faulty analog layers "
+                "run their matmul and chain in single precision, noiseless "
+                "ones read out through exact levels either way; digital "
+                "recombination stays float64, and ideal-mode layers that "
+                "would lose integer exactness fall back per layer)"
+            ),
+        )
+
+    estimate.add_argument(
+        "--configs",
+        default="timely,prime,isaac",
+        help="comma-separated subset of: timely, prime, isaac",
+    )
+    estimate.add_argument(
+        "--pipelined",
+        action="store_true",
+        help="also estimate single-image latency under cross-layer pipelining",
+    )
+    estimate.add_argument(
+        "--no-per-layer",
+        action="store_true",
+        help="print only the totals comparison table",
+    )
+    estimate.add_argument(
+        "--summary", action="store_true", help="also print the network summary"
+    )
+    estimate.add_argument(
+        "--list-models", action="store_true", help="list available models and exit"
+    )
+
+    run.add_argument(
         "--batch",
         type=_positive_int,
         default=0,
@@ -302,7 +334,7 @@ def build_run_parser() -> argparse.ArgumentParser:
             "over the batch"
         ),
     )
-    parser.add_argument(
+    run.add_argument(
         "--no-validate",
         action="store_true",
         help=(
@@ -310,111 +342,143 @@ def build_run_parser() -> argparse.ArgumentParser:
             "relative errors are then not reported"
         ),
     )
-    parser.add_argument(
+    run.add_argument(
         "--noise",
         type=float,
         default=0.0,
         metavar="SCALE",
         help="noise severity: Section-V sigmas scaled by SCALE (0 = ideal)",
     )
-    parser.add_argument(
+    run.add_argument(
         "--noise-seed", type=int, default=0, help="seed of the noise draws"
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for weights and the input image"
+    run.add_argument(
+        "--chunk-bytes",
+        type=_positive_int,
+        default=None,
+        metavar="BYTES",
+        help=(
+            "bound the packed read-out working set: split the stacked "
+            "charge tensor into chunks of at most BYTES and run the "
+            "time-domain chain per chunk in place (omit for the "
+            "historical single-pass read-out, bit-identical to earlier "
+            "releases)"
+        ),
     )
-    _add_compute_arguments(parser)
-    _add_fault_arguments(parser)
-    parser.add_argument(
+    _add_fault_arguments(run)
+    run.add_argument(
         "--stream",
         action="store_true",
         help=(
             "execute layer by layer against the cached state's backing "
             "files instead of wiring the whole network up front (requires "
-            "--state-cache; implies a memory-mapped state load, so peak "
-            "weight memory is the largest single layer, not the sum — "
-            "outputs stay bit-identical to the resident path)"
+            "--state-cache; peak weight memory is the largest single "
+            "layer, not the sum — outputs stay bit-identical to the "
+            "resident path)"
         ),
     )
-    _add_state_cache_arguments(parser)
-    parser.add_argument(
-        "--json", action="store_true", help="emit a JSON document instead of a table"
-    )
-    return parser
 
-
-def _add_state_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--state-cache",
-        default=None,
-        metavar="DIR",
+    sweep.add_argument(
+        "--noise-grid",
+        default="0,0.5,1",
+        metavar="SCALES",
         help=(
-            "programmed-state cache directory: reuse the content-keyed "
-            "programmed chip state across invocations instead of "
-            "re-programming (created on first use)"
+            "comma-separated noise severities; each scales the Section-V "
+            "sigmas (0 = ideal hardware; default: 0,0.5,1)"
         ),
     )
-    parser.add_argument(
-        "--mmap",
+    sweep.add_argument(
+        "--stuck-grid",
+        default="0",
+        metavar="FRACS",
+        help=(
+            "comma-separated total stuck-cell fractions to sweep (split "
+            "evenly between stuck-at-G_on and stuck-at-G_off; each trial "
+            "samples an independent seed-stable chip realisation; "
+            "default: 0 — no faults)"
+        ),
+    )
+    sweep.add_argument(
+        "--trials",
+        type=_positive_int,
+        default=8,
+        help="Monte-Carlo trials per grid point (default: 8)",
+    )
+    sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool workers; <=1 runs inline (default: 1)",
+    )
+    sweep.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help=(
+            "retry a failed/crashed unit of work up to N times with "
+            "exponential backoff before giving up on it (default: 2)"
+        ),
+    )
+    sweep.add_argument(
+        "--trial-timeout",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help=(
+            "stall watchdog: restart the pool when no unit of work "
+            "completes within SECONDS per in-flight trial (0 = disabled)"
+        ),
+    )
+    sweep.add_argument(
+        "--keep-going",
         action="store_true",
         help=(
-            "memory-map cached states instead of materialising them "
-            "(with --state-cache; the larger-than-RAM direction)"
+            "record trials that exhaust their retries as structured error "
+            "rows and finish the sweep instead of aborting; a later "
+            "--resume retries exactly those trials"
         ),
     )
-
-
-def build_program_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim program",
-        description=(
-            "Program a model's weights onto crossbars and persist the "
-            "resulting chip state in a content-keyed cache directory — the "
-            "expensive one-time phase, amortised by every later "
-            "`run --state-cache` / `sweep --state-cache` invocation."
-        ),
+    sweep.add_argument(
+        "--cell-bits",
+        default="4",
+        metavar="BITS",
+        help="comma-separated bits-per-cell grid values (default: 4)",
     )
-    parser.add_argument(
-        "--model",
-        default="cnn_1",
-        help="model name from the zoo (default: cnn_1; see estimate --list-models)",
-    )
-    _add_arch_arguments(parser)
-    parser.add_argument(
-        "--mode",
-        choices=("analog", "ideal"),
-        default="analog",
-        help="tile read-out the state is packed for",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed of the deterministic weights"
-    )
-    parser.add_argument(
+    sweep.add_argument(
         "--compute-dtype",
-        choices=COMPUTE_DTYPES,
         default=COMPUTE_DTYPES[0],
+        metavar="DTYPES",
         help=(
-            "arithmetic precision the state is packed for (part of the "
-            "content key: a float32 state never aliases a float64 one)"
+            "comma-separated packed-engine precisions to sweep "
+            f"(choose from: {', '.join(COMPUTE_DTYPES)}; default: float64 — "
+            "each dtype gets its own content keys and programmed state)"
         ),
     )
-    parser.add_argument(
-        "--state-cache",
-        default=".state_cache",
-        metavar="DIR",
-        help="cache directory to program into (default: .state_cache)",
+    sweep.add_argument(
+        "--output",
+        default="sweep_results.jsonl",
+        help="JSON-lines result store (default: sweep_results.jsonl)",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a JSON document instead of text"
+    sweep.add_argument(
+        "--resume",
+        action="store_true",
+        help=(
+            "keep the existing store and skip trials whose content keys are "
+            "already recorded (a completed sweep computes 0 new trials)"
+        ),
+    )
+    sweep.add_argument(
+        "--per-layer",
+        action="store_true",
+        help="also print per-layer mean error attribution under each grid row",
     )
     return parser
 
 
-def main_program(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_program_parser().parse_args(argv)
-
+def _program(args: argparse.Namespace) -> int:
     try:
-        network = _load_model(args.model)
+        network = build_model(args.model)
         arch = _arch_from_args(args)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -462,10 +526,6 @@ def main_program(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(f"  {path}")
     return 0
-
-
-def _load_model(name: str) -> Network:
-    return build_model(name)
 
 
 def format_per_layer(estimate: NetworkEstimate) -> str:
@@ -554,21 +614,17 @@ def estimate_to_dict(estimate: NetworkEstimate, per_layer: bool = True) -> dict:
     return doc
 
 
-def main_estimate(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def _estimate(args: argparse.Namespace) -> int:
     if args.list_models:
         print("\n".join(list_models()))
         return 0
 
     try:
-        network = _load_model(args.model)
+        network = build_model(args.model)
+        config = _arch_from_args(args)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-
-    try:
-        config = _arch_from_args(args)
     except ValueError as exc:
         print(f"invalid crossbar configuration: {exc}", file=sys.stderr)
         return 2
@@ -618,28 +674,16 @@ def main_estimate(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def main_run(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_run_parser().parse_args(argv)
-
+def _run(args: argparse.Namespace) -> int:
     try:
-        network = _load_model(args.model)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-
-    try:
+        network = build_model(args.model)
         arch = _arch_from_args(args)
-        # SweepGrid's rule for noise scales: NaN passes a bare `< 0` check
-        if not math.isfinite(args.noise) or args.noise < 0:
-            raise ValueError("--noise scale must be finite and non-negative")
         if args.stream and args.state_cache is None:
             raise ValueError("--stream needs --state-cache (a disk-backed state)")
-        if args.mmap and args.state_cache is None:
-            raise ValueError("--mmap needs --state-cache (a disk-backed state)")
         kernel = default_kernel()  # a bad REPRO_KERNEL fails here, not mid-run
         noise = (
             HardwareNoiseConfig.scaled(args.noise, seed=args.noise_seed)
-            if args.noise > 0
+            if args.noise != 0
             else None
         )
         faults = _fault_model_from_args(args)
@@ -648,6 +692,9 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
                 "fault injection needs --mode analog (ideal mode has no "
                 "conductances to corrupt)"
             )
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -656,7 +703,7 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
     from repro.engine import (
         EngineError,
         NetworkExecutor,
-        ProgrammedState,
+        NetworkParams,
         ProgrammedStateCache,
     )
 
@@ -669,38 +716,30 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         compute_dtype=args.compute_dtype,
         chunk_bytes=args.chunk_bytes,
     )
+    # program-once/run-many: without --state-cache the cache is memory-only
+    # and programs; with it, a previous `run` or `program` may already have
+    # built this chip state, and a disk hit is memory-mapped
+    cache = ProgrammedStateCache(root=args.state_cache, mmap=True)
     start = time.perf_counter()
     try:
-        if args.state_cache is not None:
-            # program-once/run-many: the expensive programming phase is
-            # served from the content-keyed cache when a previous
-            # invocation (or `program`) already built this chip state.
-            # Streaming loads memory-mapped so the full state is never
-            # materialised in this process.
-            cache = ProgrammedStateCache(
-                root=args.state_cache, mmap=args.mmap or args.stream
-            )
-            state, cache_source = cache.get_or_program(network, ctx, mode=args.mode)
-            if args.stream and state.source_path is None:
-                # freshly programmed this invocation: re-open the snapshot
-                # just written so the streamed run has backing files
-                state = ProgrammedState.load(cache.ensure_on_disk(state), mmap=True)
-            program_s = time.perf_counter() - start
-            executor = NetworkExecutor(
-                network, ctx, mode=args.mode, state=state, stream=args.stream
-            )
-        else:
-            cache_source = "off"
-            executor = NetworkExecutor(network, ctx, mode=args.mode)
-            program_s = time.perf_counter() - start
-        run_start = time.perf_counter()
+        params = NetworkParams(network, args.seed)
+        state, source = cache.get_or_program(
+            network, ctx, mode=args.mode, params=params
+        )
+        programmed = time.perf_counter()
+        executor = NetworkExecutor(
+            network, ctx, mode=args.mode, params=params, state=state, stream=args.stream
+        )
+        wired = time.perf_counter()
         x = executor.random_batch(args.batch) if args.batch > 0 else None
         result = executor.run(x, validate=validate)
     except EngineError as exc:
         print(f"engine cannot run {args.model!r}: {exc}", file=sys.stderr)
         return 2
-    run_s = time.perf_counter() - run_start
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
+    program_s, wire_s, run_s = programmed - start, wired - programmed, end - wired
+    elapsed = end - start
+    cache_source = source if args.state_cache is not None else "off"
 
     def _err(value: float) -> Optional[float]:
         return value if validate else None
@@ -721,12 +760,13 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
             "rel_error": _err(result.rel_error),
             "elapsed_s": elapsed,
             "program_s": program_s,
+            "wire_s": wire_s,
             "run_s": run_s,
             "peak_wired_mb": result.peak_wired_bytes / 1e6,
             "peak_rss_mb": _peak_rss_mb(),
             "programming": {
                 "cache": cache_source,
-                "key": executor.state.key,
+                "key": state.key,
             },
             "faults": (
                 {
@@ -787,9 +827,12 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
         err = f"{trace.rel_error:.3e}" if validate else "-"
         print(f"{trace.name:<22} {trace.kind:<8} {trace.crossbars:>6} {err:>12}")
     print("-" * len(header))
-    timing = f"{elapsed:.2f}s ({program_s:.2f}s programming + {run_s:.2f}s run)"
+    timing = (
+        f"{elapsed:.2f}s ({program_s:.2f}s programming + {wire_s:.2f}s wiring "
+        f"+ {run_s:.2f}s run)"
+    )
     if args.state_cache is not None:
-        timing += f", state {executor.state.key}: {cache_source}"
+        timing += f", state {state.key}: {cache_source}"
     if args.stream:
         timing += f", peak wired {result.peak_wired_bytes / 1e6:.1f} MB"
     if faults is not None:
@@ -812,150 +855,6 @@ def main_run(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim sweep",
-        description=(
-            "Monte-Carlo accuracy sweep: run a (model x noise-scale x trial "
-            "x cell-bits x compute-dtype x stuck-fraction) grid of engine "
-            "trials through a process "
-            "pool, record each trial in a resumable JSON-lines store and "
-            "reduce the rows to mean/p95 relative error per noise scale."
-        ),
-    )
-    parser.add_argument(
-        "--model",
-        default="cnn_1",
-        help="comma-separated model names from the zoo (default: cnn_1)",
-    )
-    parser.add_argument(
-        "--noise-grid",
-        default="0,0.5,1",
-        metavar="SCALES",
-        help=(
-            "comma-separated noise severities; each scales the Section-V "
-            "sigmas (0 = ideal hardware; default: 0,0.5,1)"
-        ),
-    )
-    parser.add_argument(
-        "--stuck-grid",
-        default="0",
-        metavar="FRACS",
-        help=(
-            "comma-separated total stuck-cell fractions to sweep (split "
-            "evenly between stuck-at-G_on and stuck-at-G_off; each trial "
-            "samples an independent seed-stable chip realisation; "
-            "default: 0 — no faults)"
-        ),
-    )
-    parser.add_argument(
-        "--trials",
-        type=_positive_int,
-        default=8,
-        help="Monte-Carlo trials per grid point (default: 8)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers; <=1 runs inline (default: 1)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "retry a failed/crashed unit of work up to N times with "
-            "exponential backoff before giving up on it (default: 2)"
-        ),
-    )
-    parser.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help=(
-            "stall watchdog: restart the pool when no unit of work "
-            "completes within SECONDS per in-flight trial (0 = disabled)"
-        ),
-    )
-    parser.add_argument(
-        "--keep-going",
-        action="store_true",
-        help=(
-            "record trials that exhaust their retries as structured error "
-            "rows and finish the sweep instead of aborting; a later "
-            "--resume retries exactly those trials"
-        ),
-    )
-    parser.add_argument(
-        "--cell-bits",
-        default="4",
-        metavar="BITS",
-        help="comma-separated bits-per-cell grid values (default: 4)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("analog", "ideal"),
-        default="analog",
-        help="tile read-out: full time-domain chains or exact integer",
-    )
-    parser.add_argument("--rows", type=int, default=256, help="crossbar rows")
-    parser.add_argument("--cols", type=int, default=256, help="crossbar columns")
-    parser.add_argument("--weight-bits", type=int, default=8, help="weight precision")
-    parser.add_argument("--input-bits", type=int, default=8, help="input precision")
-    parser.add_argument(
-        "--compute-dtype",
-        default=COMPUTE_DTYPES[0],
-        metavar="DTYPES",
-        help=(
-            "comma-separated packed-engine precisions to sweep "
-            f"(choose from: {', '.join(COMPUTE_DTYPES)}; default: float64 — "
-            "each dtype gets its own content keys and programmed state)"
-        ),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed: fixes weights/input; per-trial noise seeds derive from it",
-    )
-    parser.add_argument(
-        "--output",
-        default="sweep_results.jsonl",
-        help="JSON-lines result store (default: sweep_results.jsonl)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "keep the existing store and skip trials whose content keys are "
-            "already recorded (a completed sweep computes 0 new trials)"
-        ),
-    )
-    parser.add_argument(
-        "--state-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "programmed-state cache directory: reuse programmed chip states "
-            "across sweep invocations (each distinct model/arch/seed group "
-            "is programmed at most once either way; the cache persists the "
-            "snapshots beyond this run)"
-        ),
-    )
-    parser.add_argument(
-        "--per-layer",
-        action="store_true",
-        help="also print per-layer mean error attribution under each grid row",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a JSON document instead of a table"
-    )
-    return parser
-
-
 def _parse_list(text: str, kind, what: str) -> list:
     values = []
     for part in text.split(","):
@@ -971,15 +870,13 @@ def _parse_list(text: str, kind, what: str) -> list:
     return values
 
 
-def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_sweep_parser().parse_args(argv)
-
+def _sweep(args: argparse.Namespace) -> int:
     from repro.sweep import SweepGrid, SweepStore, format_summary, run_sweep, summarize
 
     try:
         models = _parse_list(args.model, str, "model")
         for name in models:
-            _load_model(name)  # fail fast on unknown models
+            build_model(name)  # fail fast on unknown models
         grid = SweepGrid(
             models=tuple(models),
             noise_scales=tuple(_parse_list(args.noise_grid, float, "--noise-grid")),
@@ -1069,17 +966,12 @@ def main_sweep(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+_HANDLERS = {"estimate": _estimate, "run": _run, "program": _program, "sweep": _sweep}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-    else:
-        # historical invocation: bare flags mean `estimate`
-        command, rest = "estimate", argv
-    if command == "run":
-        return main_run(rest)
-    if command == "program":
-        return main_program(rest)
-    if command == "sweep":
-        return main_sweep(rest)
-    return main_estimate(rest)
+    if not argv or argv[0] not in _HANDLERS:
+        argv.insert(0, "estimate")  # historical invocation: bare flags mean `estimate`
+    args = build_parser().parse_args(argv)
+    return _HANDLERS[args.command](args)

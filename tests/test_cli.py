@@ -2,10 +2,16 @@
 codes of ``python -m repro.sim`` (estimate / run / program / sweep)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.sim import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +65,51 @@ def test_list_models_exits_0(capsys):
     assert cli.main(["--list-models"]) == 0
     out = capsys.readouterr().out
     assert "cnn_1" in out and "vgg_d" in out
+
+
+# ---------------------------------------------------------------------------
+# the parser tree
+# ---------------------------------------------------------------------------
+
+def test_every_subcommand_prints_help(capsys):
+    """Bare --help is estimate's: argv without a command means estimate."""
+    for argv, command in (
+        (["--help"], "estimate"),
+        (["estimate", "--help"], "estimate"),
+        (["run", "--help"], "run"),
+        (["program", "--help"], "program"),
+        (["sweep", "--help"], "sweep"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: python -m repro.sim {command} ")
+
+
+def test_subcommand_defaults_stay_apart():
+    """A shared flag's per-command default does not leak into the others
+    (argparse parent parsers share one action object between children)."""
+    parser = cli.build_parser()
+    args = {
+        command: parser.parse_args([command])
+        for command in ("estimate", "run", "program", "sweep")
+    }
+    assert args["estimate"].model == "vgg_d"
+    assert args["run"].model == args["program"].model == args["sweep"].model == "cnn_1"
+    assert args["program"].state_cache == ".state_cache"
+    assert args["run"].state_cache is None and args["sweep"].state_cache is None
+
+
+def test_module_entry_point():
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.sim", "--list-models"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "cnn_1" in result.stdout.split()
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +376,47 @@ def test_run_state_cache_hit_skips_programming(tmp_path, capsys):
     assert warm["program_s"] > 0 and warm["run_s"] > 0
 
 
-def test_run_state_cache_mmap(tmp_path, capsys):
+def test_run_state_cache_mmap(tmp_path, capsys, monkeypatch):
+    """Every disk hit of `run --state-cache` loads memory-mapped."""
+    from repro.engine import ProgrammedState
+
     cached = [
         "run", "--model", "tiny_cnn", "--json",
-        "--state-cache", str(tmp_path / "cache"), "--mmap",
+        "--state-cache", str(tmp_path / "cache"),
     ]
     assert cli.main(cached) == 0
     cold = json.loads(capsys.readouterr().out)
+    flags = []
+    real_load = ProgrammedState.load.__func__
+
+    def load(cls, path, mmap=False):
+        flags.append(mmap)
+        return real_load(cls, path, mmap=mmap)
+
+    monkeypatch.setattr(ProgrammedState, "load", classmethod(load))
     assert cli.main(cached) == 0
     warm = json.loads(capsys.readouterr().out)
     assert warm["programming"]["cache"] == "disk"
+    assert flags == [True]
     assert warm["rel_error"] == cold["rel_error"]
+
+
+@pytest.mark.parametrize("cache", ["off", "programmed", "disk"])
+def test_run_json_times_add_up(tmp_path, capsys, cache):
+    """program_s (float weights plus programming or the cache lookup),
+    wire_s (the executor's construction) and run_s split elapsed_s."""
+    args = ["run", "--model", "tiny_cnn", "--json"]
+    if cache != "off":
+        args += ["--state-cache", str(tmp_path / "cache")]
+    if cache == "disk":
+        assert cli.main(args) == 0
+        capsys.readouterr()
+    assert cli.main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["programming"]["cache"] == cache
+    parts = (doc["program_s"], doc["wire_s"], doc["run_s"])
+    assert min(parts) > 0
+    assert sum(parts) == pytest.approx(doc["elapsed_s"], rel=1e-9, abs=1e-12)
 
 
 def test_run_state_cache_table_reports_source(tmp_path, capsys):
@@ -392,7 +473,7 @@ def test_run_stream_streams_even_when_it_programs_cold(tmp_path, capsys):
     assert doc["stream"] is True and doc["peak_wired_mb"] > 0
 
 
-@pytest.mark.parametrize("flag", ["--stream", "--mmap"])
+@pytest.mark.parametrize("flag", ["--stream"])
 def test_run_stream_without_state_cache_exits_2(capsys, flag):
     assert cli.main(["run", "--model", "tiny_cnn", flag]) == 2
     err = capsys.readouterr().err

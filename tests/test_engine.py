@@ -99,8 +99,9 @@ def test_engine_crossbar_count_matches_mapping():
     gives 3 bit-columns per weight, 85 whole weights per 256-column tile)."""
     network = build_model("cnn_1")
     for arch in (ArchSpec(), ArchSpec(cell_bits=3, weight_bits=8)):
-        executor = NetworkExecutor(network, SimContext(arch=arch))
-        assert executor.crossbars == executor.mapping.total_crossbars
+        ctx = SimContext(arch=arch)
+        executor = NetworkExecutor(network, ctx)
+        assert executor.crossbars == ctx.map_network(network).total_crossbars
 
 
 def test_engine_rejects_non_square_kernels():

@@ -45,6 +45,7 @@ def _slices(shape=(32, 16), n=2, seed=0):
         {"readout_saturation": 0.0},
         {"readout_saturation": 1.5},
         {"remap_threshold": -0.1},
+        {"drift_t0_s": float("nan")},
     ],
 )
 def test_fault_model_rejects_bad_configuration(kwargs):

@@ -1,5 +1,8 @@
 """Crossbar-mapping and access-count invariants."""
 
+import pytest
+
+from repro.context import ArchSpec
 from repro.mapping import (
     CrossbarConfig,
     input_read_amplification,
@@ -117,3 +120,11 @@ def test_access_counts_addition():
     doubled = counts + counts
     assert doubled.input_reads == 2 * counts.input_reads
     assert doubled.total_conversions == 2 * counts.total_conversions
+
+
+def test_arch_spec_rejects_non_finite_physics():
+    """NaN passes every bare `<= 0` bound the physics checks use."""
+    for name in ("r_min_ohm", "r_max_ohm", "t_del_s", "v_dd"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ArchSpec(**{name: value})

@@ -237,6 +237,25 @@ def test_scaled_zero_equals_ideal():
 def test_scaled_rejects_negative_scale():
     with pytest.raises(ValueError):
         HardwareNoiseConfig.scaled(-0.1)
+    # NaN passes a bare `< 0` check and would silently run noiseless
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            HardwareNoiseConfig.scaled(scale)
+
+
+def test_noise_config_rejects_non_finite_sigmas():
+    for name in (
+        "x_subbuf_sigma",
+        "p_subbuf_sigma",
+        "i_adder_sigma",
+        "comparator_sigma",
+        "dtc_sigma",
+        "tdc_sigma",
+        "reram_conductance_sigma",
+    ):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                HardwareNoiseConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _oracle_run(network, ctx, mode, x):
     executor = NetworkExecutor(network, ctx, mode)
     ideal = program(network, ctx, "ideal", params=executor.params)
     offset = 2 ** (ctx.arch.weight_bits - 1)
-    mapped = executor.mapping.by_name()
+    mapped = ctx.map_network(network).by_name()
     for layer in ideal.layers:
 
         def oracle(codes, q=layer.encoded.astype(np.int64) - offset, name=layer.name):
@@ -354,8 +354,9 @@ def test_packed_executor_crossbars_match_mapping():
     """Including the awkward cell_bits=3 split (85 weights per 256-col tile)."""
     network = build_model("cnn_1")
     for arch in (ArchSpec(), ArchSpec(cell_bits=3, weight_bits=8)):
-        executor = NetworkExecutor(network, SimContext(arch=arch))
-        assert executor.crossbars == executor.mapping.total_crossbars
+        ctx = SimContext(arch=arch)
+        executor = NetworkExecutor(network, ctx)
+        assert executor.crossbars == ctx.map_network(network).total_crossbars
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ def test_cache_sources_programmed_then_disk_then_memory(tmp_path):
     state1, source1 = cache.get_or_program(network, ctx)
     assert source1 == "programmed"
     assert (cache.path_for(state1.key) / "meta.json").is_file()
+    # the persisted state records its entry, so it can stream from disk
+    assert state1.source_path == cache.path_for(state1.key)
     # a fresh cache over the same root must hit disk, not re-program
     cold = ProgrammedStateCache(root=tmp_path / "cache")
     state2, source2 = cold.get_or_program(network, ctx)

@@ -4,6 +4,8 @@ bounds peak wired weight bytes by the largest single layer, reports
 unchanged crossbar counts, and serves each layer from fresh memory-mapped
 file handles that die with the layer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ def test_stream_layer_opens_fresh_mmap_handles(tmp_path):
     assert payload is not second.levels[0]
     assert payload is not state.layers[0].levels[0]
     assert np.array_equal(np.asarray(payload), np.asarray(second.levels[0]))
+
+
+def test_stream_layer_parses_the_manifest_once(tmp_path, monkeypatch):
+    state, _, _ = _disk_state(tmp_path)
+    parses = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        parses.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    for _ in range(2):
+        for position in range(len(state.layers)):
+            state.stream_layer(position)
+    assert len(parses) == 1
 
 
 def test_stream_layer_without_backing_files_serves_resident_layers():
