@@ -60,6 +60,10 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
         "faults are injected at executor wiring time; cached states stay "
         "fault-free"
     ),
+    ("SimContext", "compute_dtype"): (
+        "programmed states hold integers only; each executor picks its "
+        "layers' GEMM precision at wiring, so every dtype shares one state"
+    ),
     ("TrialSpec", "noise_scale"): (
         "programmed states are noise-free; every noise scale shares one "
         "state (program-once design)"
@@ -70,6 +74,10 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ),
     ("TrialSpec", "stuck_fraction"): (
         "faults are wired at execution; programmed states stay fault-free"
+    ),
+    ("TrialSpec", "compute_dtype"): (
+        "precision is chosen at wiring; trials of every dtype share the "
+        "group's integer state (the trial key still carries the dtype)"
     ),
     ("FaultModel", "drift_nu"): (
         "run-CLI knob, not a sweep axis; add a TrialSpec field before "

@@ -84,6 +84,12 @@ class ArchSpec:
             raise ValueError("spare_rows must be non-negative")
         if self.cell_bits <= 0 or self.weight_bits <= 0 or self.input_bits <= 0:
             raise ValueError("bit widths must be positive")
+        # the float64 quantisers round codes exactly only below 2**53, and a
+        # symmetric weight needs a sign and at least one magnitude bit
+        if max(self.cell_bits, self.weight_bits, self.input_bits) > 53:
+            raise ValueError("bit widths must be at most 53")
+        if self.weight_bits < 2:
+            raise ValueError("weight_bits must be at least 2")
         if self.r_min_ohm <= 0 or self.r_max_ohm <= self.r_min_ohm:
             raise ValueError("require 0 < r_min < r_max")
         if self.t_del_s <= 0:
@@ -165,7 +171,8 @@ ACCELERATOR_STYLES = ("timely", "prime", "isaac")
 #: out through exact integer levels in either dtype (bit-identical
 #: results); ideal-mode integer matmuls that would lose exactness in
 #: float32 fall back to float64 per layer, so requesting float32 never
-#: breaks exact read-out.
+#: breaks exact read-out.  The dtype is a wiring choice: programmed states
+#: hold integers, and one state serves both precisions.
 COMPUTE_DTYPES = ("float64", "float32")
 
 #: Version of the engine's result arithmetic, bumped whenever a change can
@@ -200,10 +207,11 @@ class SimContext:
     drives every deterministic draw (weight initialisation, input
     generation), so two contexts with equal fields reproduce each other
     exactly; ``compute_dtype`` selects the packed engine's arithmetic precision
-    (see :data:`COMPUTE_DTYPES` — ``"float32"`` halves conductance memory
-    and roughly doubles matmul throughput at a ≤1e-4 relative-accuracy
-    bar, while ``"float64"``, the default, stays bit-identical to the
-    historical behaviour); ``chunk_bytes`` bounds the packed read-out
+    when an executor wires its layers (see :data:`COMPUTE_DTYPES` —
+    ``"float32"`` halves conductance memory and roughly doubles matmul
+    throughput at a ≤1e-4 relative-accuracy bar, while ``"float64"``, the
+    default, stays bit-identical to the historical behaviour; programming
+    does not depend on it); ``chunk_bytes`` bounds the packed read-out
     chain's working set — when set, the stacked tiles × positions charge
     tensor is split along the position axis into chunks of at most this
     many bytes and the two-phase chain runs per chunk fully in place, so

@@ -162,17 +162,14 @@ class ExecutionResult:
 
 
 def program_layer(
-    inst: LayerInstance,
-    params: NetworkParams,
-    arch,
-    mode: str,
-    compute_dtype: str = "float64",
+    inst: LayerInstance, params: NetworkParams, arch, mode: str
 ) -> LayerState:
     """Program one conv/FC layer: the expensive, noise-free phase.
 
     Quantises the layer's weights per output channel, lays them out as
     im2col matmul matrices and runs the offset-encode/bit-slice packing of
-    :func:`repro.engine.packed.pack_weights` down to integer cell levels.
+    :func:`repro.engine.packed.pack_weights` down to integer cell levels
+    (or, in ideal mode, the offset-encoded integer weights).
     The result is a plain-array :class:`~repro.engine.state.LayerState` that
     saves, memory-maps and ships across processes; wiring it back into an
     executable layer (:class:`_MappedComputeLayer`) is cheap.
@@ -203,7 +200,7 @@ def program_layer(
     # all groups stacked on one leading axis, in the quantiser's narrow
     # integer dtype: (groups, rows, group_cols)
     q = np.stack(matrices)
-    encoded, levels = pack_weights(q, arch, mode, compute_dtype)
+    encoded, levels = pack_weights(q, arch, mode)
     cell = arch.cell_spec()
     return LayerState(
         name=inst.name,
@@ -214,7 +211,6 @@ def program_layer(
         w_scales=quant.scales,
         g_min_s=cell.g_min_s,
         g_step_s=cell.g_step_s,
-        compute_dtype=compute_dtype,
         bias=p.bias,
         stride=stride,
         pad=pad,
@@ -268,16 +264,11 @@ def program(
     else:
         check_params(params, network, ctx.seed)
     layers = [
-        program_layer(inst, params, ctx.arch, mode, ctx.compute_dtype)
+        program_layer(inst, params, ctx.arch, mode)
         for inst in network.compute_instances
     ]
     return ProgrammedState(
-        model=network.name,
-        mode=mode,
-        seed=ctx.seed,
-        arch=ctx.arch,
-        layers=layers,
-        compute_dtype=ctx.compute_dtype,
+        model=network.name, mode=mode, seed=ctx.seed, arch=ctx.arch, layers=layers
     )
 
 
@@ -291,7 +282,8 @@ def _check_state(
 
     A mismatched state would silently execute the wrong chip: different
     weights (model/seed), different conductance grid (arch), or tensors
-    packed for the other mode or precision.  Each is a hard error.
+    packed for the other mode.  Each is a hard error.  The compute dtype is
+    no mismatch: the state holds integers, which wire at any precision.
     """
     mismatches = []
     if state.model != network.name:
@@ -300,10 +292,6 @@ def _check_state(
         mismatches.append(f"mode {state.mode!r} != {mode!r}")
     if state.seed != ctx.seed:
         mismatches.append(f"seed {state.seed} != {ctx.seed}")
-    if state.compute_dtype != ctx.compute_dtype:
-        mismatches.append(
-            f"compute_dtype {state.compute_dtype!r} != {ctx.compute_dtype!r}"
-        )
     if state.arch != ctx.arch:
         mismatches.append(f"arch {state.arch} != {ctx.arch}")
     if not mismatches:
@@ -346,9 +334,12 @@ class _MappedComputeLayer:
         self.out_channels = state.out_channels
         # noise scopes derive from the layer index, so noisy draws are
         # independent of how many executors were constructed before this one
-        self._packed = PackedMatmul.from_packed(
-            state.encoded, state.levels, ctx, mode, salt=state.index
-        )
+        try:
+            self._packed = PackedMatmul.from_packed(
+                state.encoded, state.levels, ctx, mode, salt=state.index
+            )
+        except EngineError as exc:
+            raise EngineError(f"layer {state.name!r}: {exc}") from exc
 
     @property
     def crossbars(self) -> int:
@@ -512,12 +503,13 @@ class NetworkExecutor:
         """Wire an executor from a programmed state, skipping programming.
 
         ``network`` defaults to rebuilding the state's model from the zoo;
-        ``ctx`` defaults to a noise-free context matching the state (pass
-        one with a noise model to apply per-trial programming variation on
-        top of the decoded base conductances — the Monte-Carlo path).  The
-        context's architecture, seed and compute dtype must match the
-        state's.  ``stream=True`` wires nothing up front and executes
-        layer-by-layer against the state's backing files (see the
+        ``ctx`` defaults to a noise-free float64 context matching the state
+        (pass one with a noise model to apply per-trial programming
+        variation on top of the decoded base conductances — the Monte-Carlo
+        path).  The context's architecture and seed must match the state's;
+        its compute dtype is free, since the layers pick their precision
+        when they are wired.  ``stream=True`` wires nothing up front and
+        executes layer-by-layer against the state's backing files (see the
         constructor's ``stream`` parameter).
         """
         if network is None:
@@ -525,9 +517,7 @@ class NetworkExecutor:
 
             network = build_model(state.model)
         if ctx is None:
-            ctx = SimContext(
-                arch=state.arch, seed=state.seed, compute_dtype=state.compute_dtype
-            )
+            ctx = SimContext(arch=state.arch, seed=state.seed)
         return cls(network, ctx, state.mode, params=params, state=state, stream=stream)
 
     @property
@@ -605,8 +595,10 @@ class NetworkExecutor:
                 "engine inputs must be (channels, height, width) images or "
                 f"non-empty (batch, channels, height, width) batches, got shape {act.shape}"
             )
-        if np.any(batch < 0):
-            raise EngineError("engine inputs must be non-negative (unsigned input codes)")
+        if not (np.isfinite(batch).all() and (batch >= 0).all()):
+            raise EngineError(
+                "engine inputs must be finite and non-negative (unsigned input codes)"
+            )
 
         ref_acts: Optional[Dict[str, np.ndarray]] = None
         if validate:

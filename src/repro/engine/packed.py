@@ -46,6 +46,12 @@ An analog layer reads out along one of two paths, chosen at wiring:
   delays by them and the reference column is subtracted through the
   per-tile delay sums, as the circuit does.
 
+A programmed payload holds only integers, so wiring is also where each
+layer's precision is chosen, from one table of exactness bounds: the
+exact-level GEMM runs in float32, else float64; an ideal layer's encoded
+weights are cast to the context's compute dtype, else float64, else int64,
+whichever first holds every product sum exactly.
+
 Noiseless, the packed path matches a per-crossbar reference built from
 :class:`repro.circuits.reram.ReRAMCrossbar` and
 :class:`repro.circuits.timing.TimeDomainDotProduct` to float tolerance
@@ -73,34 +79,26 @@ from repro.kernels.dispatch import readout_fused
 #: chains, ``"ideal"`` reads the same programmed weights exactly
 MODES = ("analog", "ideal")
 
-#: float64 integer matmuls are exact below this product-sum magnitude
-_EXACT_FLOAT_BOUND = float(2 ** 53)
-
-#: per-dtype exactness bounds (mantissa width + 1) for the ideal-mode
-#: integer matmul; a requested dtype whose bound the layer's worst-case
-#: product sum exceeds falls back to the next wider dtype per layer
-_EXACT_FLOAT_BOUNDS = {
-    np.dtype(np.float64): _EXACT_FLOAT_BOUND,
-    np.dtype(np.float32): float(2 ** 24),
+#: exactness bounds of integer GEMMs: with non-negative integer operands,
+#: every partial sum is exact in a dtype while it stays below the dtype's
+#: bound (mantissa width + 1 for the floats, the value range for int64)
+_EXACT_BOUNDS = {
+    np.dtype(np.float32): 2 ** 24,
+    np.dtype(np.float64): 2 ** 53,
+    np.dtype(np.int64): 2 ** 63,
 }
 
 
-def _worst_product_sum(arch: ArchSpec, rows_needed: int) -> float:
+def _worst_product_sum(arch: ArchSpec, rows_needed: int) -> int:
     """Upper bound of one ideal-mode output element before offset removal."""
-    return (
-        float(2 ** arch.input_bits - 1) * float(2 ** arch.weight_bits) * rows_needed
-    )
+    return (2 ** arch.input_bits - 1) * 2 ** arch.weight_bits * rows_needed
 
 
-def _level_gemm_dtype(dot_max: float) -> Optional[np.dtype]:
-    """Narrowest dtype whose GEMM of codes against cell levels is exact.
-
-    Every partial sum of a tile's integer product is an integer no larger
-    than ``dot_max``, so any summation order stays exact below the dtype's
-    bound.  ``None`` if not even float64 is exact.
-    """
-    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        if dot_max < _EXACT_FLOAT_BOUNDS[dtype]:
+def _exact_dtype(magnitude: float, candidates: Tuple) -> Optional[np.dtype]:
+    """The first of ``candidates`` whose integer GEMMs stay exact while
+    every partial sum is at most ``magnitude``; ``None`` if none does."""
+    for dtype in map(np.dtype, candidates):
+        if magnitude < _EXACT_BOUNDS[dtype]:
             return dtype
     return None
 
@@ -139,10 +137,7 @@ def _like(result: np.ndarray, template: np.ndarray) -> np.ndarray:
 
 
 def pack_weights(
-    q: np.ndarray,
-    arch: ArchSpec,
-    mode: str,
-    compute_dtype: Union[str, np.dtype] = "float64",
+    q: np.ndarray, arch: ArchSpec, mode: str
 ) -> Tuple[Optional[np.ndarray], List[np.ndarray]]:
     """The expensive, noise-free half of packed programming.
 
@@ -152,18 +147,12 @@ def pack_weights(
     integer cell levels — what the chip holds after its one programming
     pass; :func:`level_conductances` turns them into the *base* (noise-free)
     conductances ``g_min + level * g_step``.  Returns ``(encoded, levels)``:
-    exactly one is populated — the float ``encoded`` matrix for ``"ideal"``
-    mode, the level list for ``"analog"``.  Levels are unsigned integers,
-    ``uint8`` while ``cell_bits <= 8``.
-
-    ``compute_dtype`` (:data:`repro.context.COMPUTE_DTYPES`) is the
-    precision of the ideal-mode payload (analog levels are exact integers
-    whatever the precision the layer later computes in).  The request is
-    honoured only when the layer's worst-case product sum stays below the
-    dtype's exactness bound (:data:`_EXACT_FLOAT_BOUNDS`) — otherwise the
-    layer silently falls back to float64 storage so exact integer read-out
-    is never broken.  The chosen dtype is observable on ``encoded`` (and as
-    :attr:`PackedMatmul.compute_dtype` after wiring).
+    exactly one is populated — the ``encoded`` weights for ``"ideal"``
+    mode, the level list for ``"analog"``.  Both hold unsigned integers:
+    ``encoded`` in the weights' unsigned type (``uint8`` at 8 bits), the
+    levels in the cells' (``uint8`` while ``cell_bits <= 8``).  No
+    arithmetic precision is chosen here: :class:`PackedMatmul` picks each
+    layer's GEMM dtype when it wires the payload.
 
     This is the payload :class:`repro.engine.state.ProgrammedState` snapshots
     and :meth:`PackedMatmul.from_packed` rewires without recomputation.
@@ -180,12 +169,6 @@ def pack_weights(
     memory layout — layout matters downstream, because BLAS picks summation
     paths by operand memory order.
     """
-    dtype = np.dtype(compute_dtype)
-    if dtype not in _EXACT_FLOAT_BOUNDS:
-        raise EngineError(
-            f"unsupported packed compute dtype {dtype}; "
-            f"choose from: {', '.join(str(d) for d in _EXACT_FLOAT_BOUNDS)}"
-        )
     unsigned = np.min_scalar_type(2 ** arch.weight_bits - 1)
     q = q.astype(f"i{unsigned.itemsize}", order="K", copy=False)
     flat = _flat_memory_view(q)
@@ -196,17 +179,18 @@ def pack_weights(
     encoded_flat = flat.view(unsigned) + unsigned.type(2 ** (arch.weight_bits - 1))
     if mode == "ideal":
         # The ideal read-out is linear, so the slice cascade recombines
-        # back into the encoded matrix and one matmul suffices.  Per-layer
-        # exactness fallback: a float32 request only sticks when the
-        # worst-case product sum fits the 24-bit mantissa.
-        if _worst_product_sum(arch, q.shape[1]) >= _EXACT_FLOAT_BOUNDS[dtype]:
-            dtype = np.dtype(np.float64)
-        return _like(encoded_flat.astype(dtype, order="K"), q), []
+        # back into the encoded matrix and one matmul suffices.
+        return _like(encoded_flat, q), []
     level_dtype = np.min_scalar_type(2 ** arch.cell_bits - 1)
-    mask = unsigned.type(2 ** arch.cell_bits - 1)
+    # shift and mask in a type that holds a weight and a level alike: a
+    # cell may be wider than the weights' own integer type
+    wide = encoded_flat.astype(
+        np.promote_types(unsigned, level_dtype), order="K", copy=False
+    )
+    mask = wide.dtype.type(2 ** arch.cell_bits - 1)
     levels: List[np.ndarray] = []
     for s in range(arch.cols_per_weight):
-        slice_levels = encoded_flat >> unsigned.type(arch.cell_bits * s)
+        slice_levels = wide >> wide.dtype.type(arch.cell_bits * s)
         slice_levels &= mask
         levels.append(_like(slice_levels.astype(level_dtype, order="K", copy=False), q))
     return None, levels
@@ -279,7 +263,7 @@ class PackedMatmul:
                 f"quantised weights must lie in [{-qmax}, {qmax}] for "
                 f"{arch.weight_bits}-bit symmetric quantisation"
             )
-        encoded, levels = pack_weights(q, arch, mode, ctx.compute_dtype)
+        encoded, levels = pack_weights(q, arch, mode)
         self._wire(encoded, levels, ctx, mode, salt)
 
     @classmethod
@@ -324,7 +308,8 @@ class PackedMatmul:
         mode: str,
         salt: Union[int, tuple],
     ) -> None:
-        """Cheap construction from a packed payload (geometry + noise scopes)."""
+        """Cheap construction from a packed payload: geometry, noise scopes
+        and the GEMM operands in the dtype chosen for this layer."""
         arch = ctx.arch
         shape = encoded.shape if encoded is not None else levels[0].shape
         self.ctx = ctx
@@ -344,12 +329,9 @@ class PackedMatmul:
             )
         self.col_tiles = math.ceil(self.group_cols / weights_per_tile)
         self.n_slices = arch.cols_per_weight
-        #: arithmetic precision of this layer's float tensors: the context's
-        #: for analog layers, read off the ideal payload otherwise
-        #: (pack_weights may have fallen back to float64 for exactness)
-        self.compute_dtype = np.dtype(
-            encoded.dtype if encoded is not None else ctx.compute_dtype
-        )
+        #: the context's arithmetic precision: the conductance path's delays
+        #: and conductances, and the ideal GEMM's first choice
+        self.compute_dtype = ctx.np_compute_dtype
         #: power-of-two digital recombination weights of the slice cascade.
         #: Always float64: the recombination and offset correction work on
         #: ``~offset * sum(codes)``-magnitude operands whose difference is
@@ -375,12 +357,6 @@ class PackedMatmul:
             program_noise = ctx.noise.stream("packed", *salt_parts, "program")
             self._read_noise = ctx.noise.stream("packed", *salt_parts, "read")
 
-        self._encoded = encoded
-        # exactness bound for the float integer matmul of the ideal path,
-        # checked at the *stored* precision (pack_weights already widened
-        # a float32 request that could not stay exact)
-        bound = _EXACT_FLOAT_BOUNDS.get(self.compute_dtype, _EXACT_FLOAT_BOUND)
-        self._ideal_exact = _worst_product_sum(arch, self.rows_needed) < bound
         #: largest per-group sum of input codes (the offset correction)
         self._code_sum_max = float(2 ** arch.input_bits - 1) * self.rows_needed
 
@@ -389,14 +365,26 @@ class PackedMatmul:
         self._saturation = None
         if mode == "analog" and faults is not None and faults.readout_saturation is not None:
             self._saturation = float(faults.readout_saturation)
+        #: the encoded weights in the GEMM dtype of an ideal layer, else ``None``
+        self._encoded: Optional[np.ndarray] = None
         #: the stored cell levels in the GEMM dtype when this analog layer
         #: reads out through the exact-level path, else ``None``
         self._levels: Optional[List[np.ndarray]] = None
         #: the (perturbed) conductances of the conductance path, else ``None``
         self._conductances: Optional[List[np.ndarray]] = None
-        if mode != "analog":
+        if mode == "ideal":
+            # the context's precision when it holds every product sum
+            # exactly, else the narrowest wider dtype that does
+            worst = _worst_product_sum(arch, self.rows_needed)
+            dtype = _exact_dtype(worst, (self.compute_dtype, np.float64, np.int64))
+            if dtype is None:
+                raise EngineError(
+                    f"ideal read-out cannot stay exact: product sums reach "
+                    f"{float(worst):.3g}, past int64's 2**63"
+                )
+            self._encoded = encoded.astype(dtype, order="K")
             return
-        level_dtype = _level_gemm_dtype(self.spec.dot_max)
+        level_dtype = _exact_dtype(self.spec.dot_max, (np.float32, np.float64))
         if level_dtype is not None and _on_level_grid(ctx):
             self._levels = [
                 stored.astype(level_dtype, order="K") for stored in levels
@@ -446,13 +434,17 @@ class PackedMatmul:
 
         The cell levels in the GEMM dtype on the exact-level path, the
         decoded (perturbed) conductances on the conductance path, the
-        ``encoded`` matrix in ideal mode — not the stored integer levels,
-        which the wiring only reads.
+        ``encoded`` matrix in the GEMM dtype in ideal mode — not the stored
+        integer payload, which the wiring only reads.
         """
+        return sum(t.nbytes for t in self._tensors)
+
+    @property
+    def _tensors(self) -> List[np.ndarray]:
+        """The wired tensors the layer's GEMMs multiply by."""
         if self._encoded is not None:
-            return self._encoded.nbytes
-        tensors = self._levels if self._levels is not None else self._conductances
-        return sum(t.nbytes for t in tensors)
+            return [self._encoded]
+        return self._levels if self._levels is not None else self._conductances
 
     @property
     def readout_path(self) -> str:
@@ -464,18 +456,15 @@ class PackedMatmul:
     @property
     def gemm_dtype(self) -> np.dtype:
         """The dtype the layer's GEMMs run in."""
-        if self._levels is not None:
-            return self._levels[0].dtype
-        if self.mode == "ideal" and not self._ideal_exact:
-            return np.dtype(np.int64)
-        return self.compute_dtype
+        return self._tensors[0].dtype
 
     @property
     def code_dtype(self) -> np.dtype:
         """The dtype :meth:`matmul` takes its codes in without a cast.
 
-        The GEMM dtype on the exact-level and ideal paths; float64 on the
-        conductance path, whose DTC turns codes into float64 delays.
+        The GEMM dtype on the exact-level and float ideal paths; float64 on
+        the conductance path, whose DTC turns codes into float64 delays, and
+        for an int64 ideal GEMM, which casts its float64 codes per call.
         """
         if self.readout_path == "conductances" or self.gemm_dtype == np.int64:
             return np.dtype(np.float64)
@@ -520,17 +509,11 @@ class PackedMatmul:
         else:
             grouped = np.ascontiguousarray(grouped)
             if self.mode == "ideal":
-                if self._ideal_exact:
-                    # float32 payloads are exact here by construction (the
-                    # pack-time bound check), so the upcast back to float64
-                    # for the digital correction is lossless
-                    products = (
-                        grouped.astype(self._encoded.dtype, copy=False) @ self._encoded
-                    ).astype(np.float64, copy=False)
-                else:  # fall back to (slow) integer matmul beyond the float bound
-                    products = (
-                        grouped.astype(np.int64) @ self._encoded.astype(np.int64, order="K")
-                    ).astype(np.float64)
+                # exact integer products in the wired dtype (see _wire); the
+                # digital correction below runs in float64
+                products = (
+                    grouped.astype(self._encoded.dtype, copy=False) @ self._encoded
+                ).astype(np.float64, copy=False)
             else:
                 products = self._analog_products(grouped, positions)
 
@@ -538,7 +521,7 @@ class PackedMatmul:
         # so each group's columns over-count by ``offset * sum(group codes)``.
         # The code sums are exact integers in the codes' own float dtype
         # while the largest possible sum fits its mantissa.
-        exact = self._code_sum_max < _EXACT_FLOAT_BOUNDS[codes.dtype]
+        exact = self._code_sum_max < _EXACT_BOUNDS[codes.dtype]
         sums = grouped.sum(axis=2, dtype=codes.dtype if exact else np.float64)
         correction = np.multiply(sums, self.offset, dtype=np.float64)  # (G, P)
         np.subtract(products, correction[:, :, None], out=products)

@@ -20,7 +20,7 @@ Three design points:
   serves every Monte-Carlo trial of a sweep while staying bit-for-bit
   identical to programming from scratch.
 * **Content addressing.**  :func:`state_key` derives a stable key from
-  ``(model, ArchSpec, mode, seed, compute dtype)`` via the same
+  ``(model, ArchSpec, mode, seed)`` via the same
   :func:`repro.circuits.noise.stable_seed` hashing the sweep store uses, so
   equal configurations share one cache entry across processes and machines.
 * **Memory-mappability.**  :meth:`ProgrammedState.save` writes a directory
@@ -62,20 +62,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: 3: one execution engine — the manifest drops ``backend`` and the
 #: per-layer ``q`` payload;
 #: 4: analog layers store unsigned integer cell levels, not float
-#: conductances — the manifest names ``levels`` files)
-STATE_FORMAT = 4
+#: conductances — the manifest names ``levels`` files;
+#: 5: ideal layers store their offset-encoded weights as unsigned integers
+#: too, and the manifest and content key drop the compute dtype, which the
+#: executor picks at wiring)
+STATE_FORMAT = 5
 
 #: metadata filename inside a saved state directory
 _META_NAME = "meta.json"
 
 
-def state_key(
-    model: str,
-    arch: ArchSpec,
-    mode: str,
-    seed: int,
-    compute_dtype: str = "float64",
-) -> str:
+def state_key(model: str, arch: ArchSpec, mode: str, seed: int) -> str:
     """Stable 16-hex-digit content key of one programmed configuration.
 
     Derived with the same :func:`repro.circuits.noise.stable_seed` hashing
@@ -83,10 +80,10 @@ def state_key(
     versions).  Noise is deliberately **not** part of the key: the state
     holds base cell levels and per-trial variation is applied on load, so
     every noise scale / trial of a Monte-Carlo sweep shares one entry.
-    ``compute_dtype`` **is** part of the key — a float32-programmed payload
-    holds different bytes than a float64 one, so the two must never alias
-    in a shared cache.  The kernel tier (``REPRO_KERNEL``) is deliberately
-    **not** part of the key either: it selects *how* the read-out runs,
+    The compute dtype is not part of it either: the state holds integers
+    only, and each executor picks its layers' precision when it wires them,
+    so float32 and float64 runs share one entry.  Nor is the kernel tier
+    (``REPRO_KERNEL``): it selects *how* the read-out runs,
     not *what* it computes — float64 results are bit-identical across
     tiers (the cross-implementation equivalence tests pin this), so a
     state programmed under any tier serves every tier.
@@ -99,7 +96,6 @@ def state_key(
         model,
         mode,
         seed,
-        compute_dtype,
         arch.rows,
         arch.cols,
         arch.cell_bits,
@@ -119,10 +115,10 @@ class LayerState:
 
     Exactly one weight payload is populated, matching the mode: ``levels``
     (analog — one unsigned integer cell-level tensor per bit-cell slice,
-    noise-free) or ``encoded`` (ideal — the offset-encoded float matrix).
-    Both are ``(groups, rows_needed, group_cols)`` stacks in im2col layout.
-    ``g_min_s``/``g_step_s`` (the cell's level grid, siemens) and
-    ``compute_dtype`` say how the levels decode to :attr:`conductances`.
+    noise-free) or ``encoded`` (ideal — the offset-encoded weights, unsigned
+    integers too).  Both are ``(groups, rows_needed, group_cols)`` stacks in
+    im2col layout.  ``g_min_s``/``g_step_s`` (the cell's level grid,
+    siemens) say how the levels decode to :attr:`conductances`.
     """
 
     name: str
@@ -133,7 +129,6 @@ class LayerState:
     w_scales: np.ndarray  # (out_channels,) per-channel dequantisation scales
     g_min_s: float
     g_step_s: float
-    compute_dtype: str
     bias: Optional[np.ndarray] = None
     # conv-only geometry (0 for fc)
     stride: int = 0
@@ -147,12 +142,12 @@ class LayerState:
     def conductances(self) -> List[np.ndarray]:
         """The base conductances of every slice, decoded from ``levels``.
 
-        Fresh ``compute_dtype`` arrays in the levels' memory layout, from
-        the pack-time arithmetic (:func:`repro.engine.packed.level_conductances`);
-        empty for an ideal-mode layer.
+        Fresh float64 arrays in the levels' memory layout, from the wiring
+        arithmetic (:func:`repro.engine.packed.level_conductances`); empty
+        for an ideal-mode layer.
         """
         return [
-            level_conductances(levels, self.g_min_s, self.g_step_s, self.compute_dtype)
+            level_conductances(levels, self.g_min_s, self.g_step_s, "float64")
             for levels in self.levels
         ]
 
@@ -198,7 +193,6 @@ def _layer_from_entry(
     mmap_mode: Optional[str],
     arch: ArchSpec,
     mode: str,
-    compute_dtype: str,
 ) -> LayerState:
     """One manifest ``layers`` entry of the state at ``path`` as a layer."""
 
@@ -222,7 +216,6 @@ def _layer_from_entry(
         w_scales=pull(entry["w_scales"]),
         g_min_s=cell.g_min_s,
         g_step_s=cell.g_step_s,
-        compute_dtype=compute_dtype,
         bias=pull(entry["bias"]),
         stride=entry["stride"],
         pad=entry["pad"],
@@ -234,7 +227,7 @@ def _layer_from_entry(
 
 @dataclass
 class ProgrammedState:
-    """The programmed-chip state of one (model, arch, mode, seed, dtype).
+    """The programmed-chip state of one (model, arch, mode, seed).
 
     Produced by :func:`repro.engine.executor.program`; consumed by
     :meth:`repro.engine.executor.NetworkExecutor.from_state`.  Holds only
@@ -248,9 +241,6 @@ class ProgrammedState:
     seed: int
     arch: ArchSpec
     layers: List[LayerState]
-    #: requested packed compute precision (individual ideal-mode layers may
-    #: have fallen back to float64 for exactness — see ``pack_weights``)
-    compute_dtype: str = "float64"
     #: where this state was loaded from or persisted to (``None`` for
     #: in-process states); set by :meth:`load` and
     #: :meth:`ProgrammedStateCache.ensure_on_disk`, and what makes
@@ -265,9 +255,7 @@ class ProgrammedState:
     @property
     def key(self) -> str:
         """Content key of this state (see :func:`state_key`)."""
-        return state_key(
-            self.model, self.arch, self.mode, self.seed, self.compute_dtype
-        )
+        return state_key(self.model, self.arch, self.mode, self.seed)
 
     @property
     def nbytes(self) -> int:
@@ -331,7 +319,6 @@ class ProgrammedState:
             "model": self.model,
             "mode": self.mode,
             "seed": self.seed,
-            "compute_dtype": self.compute_dtype,
             "key": self.key,
             "arch": {
                 "rows": self.arch.rows,
@@ -393,9 +380,9 @@ class ProgrammedState:
         mmap_mode = "r" if mmap else None
         try:
             arch = ArchSpec(**meta["arch"])
-            mode, compute_dtype = meta["mode"], meta["compute_dtype"]
+            mode = meta["mode"]
             layers = [
-                _layer_from_entry(entry, path, mmap_mode, arch, mode, compute_dtype)
+                _layer_from_entry(entry, path, mmap_mode, arch, mode)
                 for entry in meta["layers"]
             ]
             return cls(
@@ -404,7 +391,6 @@ class ProgrammedState:
                 seed=meta["seed"],
                 arch=arch,
                 layers=layers,
-                compute_dtype=compute_dtype,
                 source_path=path,
             )
         except (KeyError, TypeError, OSError, ValueError) as exc:
@@ -437,12 +423,7 @@ class ProgrammedState:
             if self._entries is None:
                 self._entries = json.loads((path / _META_NAME).read_text())["layers"]
             return _layer_from_entry(
-                self._entries[position],
-                path,
-                "r" if mmap else None,
-                self.arch,
-                self.mode,
-                self.compute_dtype,
+                self._entries[position], path, "r" if mmap else None, self.arch, self.mode
             )
         except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
             raise EngineError(
@@ -556,7 +537,7 @@ class ProgrammedStateCache:
         ctx = ctx or SimContext()
         if params is not None:
             check_params(params, network, ctx.seed)
-        key = state_key(network.name, ctx.arch, mode, ctx.seed, ctx.compute_dtype)
+        key = state_key(network.name, ctx.arch, mode, ctx.seed)
         state, source = self._lookup(key)
         if state is None:
             state = program(network, ctx, mode, params=params)

@@ -286,20 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
                 ".state_cache, run and sweep keep states in memory without it)"
             ),
         )
-    for command in (run, program):
-        command.add_argument(
-            "--compute-dtype",
-            choices=COMPUTE_DTYPES,
-            default=COMPUTE_DTYPES[0],
-            help=(
-                "packed-engine payload precision: float64 (default) or "
-                "float32, part of the content key (noisy/faulty analog layers "
-                "run their matmul and chain in single precision, noiseless "
-                "ones read out through exact levels either way; digital "
-                "recombination stays float64, and ideal-mode layers that "
-                "would lose integer exactness fall back per layer)"
-            ),
-        )
+    run.add_argument(
+        "--compute-dtype",
+        choices=COMPUTE_DTYPES,
+        default=COMPUTE_DTYPES[0],
+        help=(
+            "packed-engine arithmetic precision: float64 (default) or "
+            "float32, chosen when the layers are wired, so one programmed "
+            "state serves both (noisy/faulty analog layers run their matmul "
+            "and chain in single precision, noiseless ones read out through "
+            "exact levels either way; digital recombination stays float64, "
+            "and ideal-mode layers that would lose integer exactness fall "
+            "back per layer)"
+        ),
+    )
 
     estimate.add_argument(
         "--configs",
@@ -452,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated packed-engine precisions to sweep "
             f"(choose from: {', '.join(COMPUTE_DTYPES)}; default: float64 — "
-            "each dtype gets its own content keys and programmed state)"
+            "each dtype gets its own trial keys, and all share one "
+            "programmed state per group)"
         ),
     )
     sweep.add_argument(
@@ -489,7 +490,7 @@ def _program(args: argparse.Namespace) -> int:
 
     from repro.engine import EngineError, ProgrammedStateCache
 
-    ctx = SimContext(arch=arch, seed=args.seed, compute_dtype=args.compute_dtype)
+    ctx = SimContext(arch=arch, seed=args.seed)
     cache = ProgrammedStateCache(root=args.state_cache)
     start = time.perf_counter()
     try:
@@ -505,7 +506,6 @@ def _program(args: argparse.Namespace) -> int:
             "model": args.model,
             "mode": args.mode,
             "seed": args.seed,
-            "compute_dtype": args.compute_dtype,
             "key": state.key,
             "source": source,
             "state_mb": state.nbytes / 1e6,

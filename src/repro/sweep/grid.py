@@ -57,7 +57,8 @@ class TrialSpec:
     input_bits: int = 8
     #: packed-engine arithmetic precision — a float32 campaign can run
     #: against a float64 reference campaign without the two ever sharing a
-    #: content key (the field is part of the canonical JSON ``key``)
+    #: trial key (the field is part of the canonical JSON ``key``), while
+    #: both wire the one programmed state of their group
     compute_dtype: str = "float64"
     #: total stuck-cell fraction injected by :mod:`repro.faults` (split
     #: evenly between stuck-at-G_on and stuck-at-G_off); ``0`` = a

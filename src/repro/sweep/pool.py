@@ -10,14 +10,14 @@ and resume boundaries cannot change any result.
 
 The expensive part of a trial is not the forward pass but the weight
 *programming* that used to happen inside every ``NetworkExecutor``
-construction.  Programming is noise-free, so every trial and noise scale of
-one ``(model, arch, mode, seed, compute dtype)`` group shares a single
-:class:`~repro.engine.state.ProgrammedState`: :func:`run_sweep` programs
-each group **once** in the parent, snapshots it to disk (the sweep's
-``--state-cache`` directory when given, a temp directory otherwise) and
-ships the snapshot path to the workers — a pool initializer pre-loads it,
-and :func:`run_trial_chunk` runs a whole chunk of trials against the
-memoised state instead of re-programming per trial.  Per-trial programming
+construction.  Programming is noise-free and precision-free, so every
+trial, noise scale and compute dtype of one ``(model, arch, mode, seed)``
+group shares a single :class:`~repro.engine.state.ProgrammedState`:
+:func:`run_sweep` programs each group **once** in the parent, snapshots it
+to disk (the sweep's ``--state-cache`` directory when given, a temp
+directory otherwise) and ships the snapshot path to the workers — a pool
+initializer pre-loads it, and :func:`run_trial_chunk` runs a whole chunk
+of trials against the memoised state instead of re-programming per trial.  Per-trial programming
 variation is applied at executor wiring from the trial's own noise streams,
 so the rows stay bit-for-bit identical to programming each trial from
 scratch.
@@ -222,11 +222,9 @@ def _group_key(spec: TrialSpec) -> str:
     """Programmed-state content key of ``spec``'s trial group.
 
     Noise scale and trial index are deliberately absent — the state is
-    noise-free, so every Monte-Carlo trial of one
-    ``(model, arch, mode, seed, compute_dtype)`` group shares one
-    programming.  The compute dtype **is** present: a float32 payload holds
-    different bytes than a float64 one, so mixed-precision campaigns must
-    not alias in the cache.
+    noise-free, so every Monte-Carlo trial of one ``(model, arch, mode,
+    seed)`` group shares one programming.  So is the compute dtype: the
+    state holds integers, and each trial wires it at its own precision.
     """
     from repro.context import ArchSpec
     from repro.engine.state import state_key
@@ -238,7 +236,7 @@ def _group_key(spec: TrialSpec) -> str:
         weight_bits=spec.weight_bits,
         input_bits=spec.input_bits,
     )
-    return state_key(spec.model, arch, spec.mode, spec.seed, spec.compute_dtype)
+    return state_key(spec.model, arch, spec.mode, spec.seed)
 
 
 @dataclass
@@ -438,7 +436,7 @@ def run_sweep(
     set, which records each affected trial as a structured error row
     (spec fields plus an ``"error"`` message) and carries on.
 
-    Each distinct ``(model, arch, mode, seed, compute dtype)`` group is
+    Each distinct ``(model, arch, mode, seed)`` group is
     programmed once in the parent and its snapshot reused for every
     trial — bit-identical rows, minus the per-trial re-programming cost.
     ``cache`` (a

@@ -2,6 +2,7 @@
 codes of ``python -m repro.sim`` (estimate / run / program / sweep)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +60,23 @@ def test_sweep_invalid_geometry_exits_2(flag, tmp_path, capsys):
     assert cli.main(args + ["--output", str(tmp_path / "r.jsonl"), flag, "0"]) == 2
     assert "invalid sweep configuration" in capsys.readouterr().err
     assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--weight-bits", "1"],
+        ["run", "--weight-bits", "64"],
+        ["run", "--weight-bits", "70"],
+        ["estimate", "--weight-bits", "70"],
+    ],
+)
+def test_unrepresentable_bit_widths_exit_2(argv, capsys):
+    """Widths the integer pipeline cannot represent are configuration
+    errors, not a traceback or a silently wrong run."""
+    assert cli.main([*argv, "--model", "tiny_mlp"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "configuration" in err and "bit" in err
 
 
 def test_list_models_exits_0(capsys):
@@ -185,6 +203,14 @@ def test_run_json_reports_readout_path_and_gemm_dtype(capsys, flags, readout, ge
     assert all(trace["gemm_dtype"] == gemm_dtype for trace in compute)
     aux = [trace for trace in doc["layers"] if trace["kind"] not in ("conv", "fc")]
     assert aux and all("readout" not in trace for trace in aux)
+
+
+def test_run_cells_wider_than_the_weights(capsys):
+    """9-bit cells hold an 8-bit weight whole: one exact-level slice."""
+    assert cli.main(["run", "--model", "tiny_cnn", "--cell-bits", "9", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isfinite(doc["rel_error"])
+    assert {trace.get("readout") for trace in doc["layers"]} == {"levels", None}
 
 
 def test_run_no_validate_omits_errors(capsys):
@@ -419,6 +445,28 @@ def test_run_json_times_add_up(tmp_path, capsys, cache):
     assert sum(parts) == pytest.approx(doc["elapsed_s"], rel=1e-9, abs=1e-12)
 
 
+def test_run_float32_hits_the_state_program_wrote(tmp_path, capsys):
+    """Precision is a wiring choice: `program` takes no --compute-dtype, and
+    a float32 run is a disk hit on the state it wrote, with the numbers of
+    an uncached float32 run, noiseless or noisy."""
+    cache = str(tmp_path / "cache")
+    assert cli.main(["program", "--model", "tiny_cnn", "--state-cache", cache, "--json"]) == 0
+    programmed = json.loads(capsys.readouterr().out)
+    assert "compute_dtype" not in programmed
+    run = ["run", "--model", "tiny_cnn", "--compute-dtype", "float32", "--json"]
+    for noise in ([], ["--noise", "1"]):
+        assert cli.main(run + noise) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert cli.main(run + noise + ["--state-cache", cache]) == 0
+        cached = json.loads(capsys.readouterr().out)
+        assert cached["programming"] == {"cache": "disk", "key": programmed["key"]}
+        assert cached["rel_error"] == plain["rel_error"]
+        assert cached["layers"] == plain["layers"]
+    with pytest.raises(SystemExit):
+        cli.main(["program", "--compute-dtype", "float32", "--state-cache", cache])
+    capsys.readouterr()
+
+
 def test_run_state_cache_table_reports_source(tmp_path, capsys):
     cached = ["run", "--model", "tiny_mlp", "--state-cache", str(tmp_path / "cache")]
     assert cli.main(cached) == 0
@@ -576,22 +624,6 @@ def test_sweep_compute_dtype_axis(tmp_path, capsys):
     assert doc["trials"] == doc["computed"] == 8  # 2 dtypes x 2 scales x 2
     assert cli.main(_sweep_args(tmp_path, "--compute-dtype", "float16")) == 2
     assert "invalid sweep configuration" in capsys.readouterr().err
-
-
-def test_program_compute_dtype_gets_its_own_key(tmp_path, capsys):
-    base = [
-        "program", "--model", "tiny_mlp", "--json",
-        "--state-cache", str(tmp_path / "cache"),
-    ]
-    assert cli.main(base) == 0
-    f64 = json.loads(capsys.readouterr().out)
-    assert cli.main(base + ["--compute-dtype", "float32"]) == 0
-    f32 = json.loads(capsys.readouterr().out)
-    assert f32["compute_dtype"] == "float32"
-    assert f32["source"] == "programmed"  # no aliasing with the f64 entry
-    assert f32["key"] != f64["key"]
-    # the stored payload is integer cell levels whatever the compute dtype
-    assert f32["state_mb"] == f64["state_mb"]
 
 
 # ---------------------------------------------------------------------------

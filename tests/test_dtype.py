@@ -1,7 +1,8 @@
 """Float32 compute-path tests: packed dtype parity against the float64
 reference across modes and cell splits, the ideal-mode exactness fallback
-(requested float32 silently reverts to float64 per layer when the
-worst-case product sum would overflow the 24-bit mantissa), layout
+chosen at wiring (requested float32 reverts to float64 per layer when the
+worst-case product sum would overflow the 24-bit mantissa, float64 to
+int64 past 2**53, and a layer exact in none is refused), layout
 preservation of the ideal pack, chunk-fused read-out equivalence and the
 end-to-end accuracy-at-the-quantisation-floor bars."""
 
@@ -17,7 +18,7 @@ from repro.engine import (
     relative_error,
 )
 from repro.engine.packed import (
-    _EXACT_FLOAT_BOUNDS,
+    _EXACT_BOUNDS,
     _worst_product_sum,
     level_conductances,
     pack_weights,
@@ -113,11 +114,11 @@ def test_ideal_float32_is_exact_below_the_mantissa_bound():
     """A small-rows ideal layer honours float32 and still matches bit-exact."""
     arch = ArchSpec()
     q, codes = _codes_and_weights(arch, 40, 21, positions=3)
-    assert _worst_product_sum(arch, 40) < _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
+    assert _worst_product_sum(arch, 40) < _EXACT_BOUNDS[np.dtype(np.float32)]
     small = PackedMatmul(q, SimContext(compute_dtype="float32"), "ideal")
-    assert small.compute_dtype == np.float32
+    assert small.gemm_dtype == np.float32
     ref = PackedMatmul(q, SimContext(), "ideal")
-    assert ref.compute_dtype == np.float64
+    assert ref.gemm_dtype == np.float64
     assert np.array_equal(small.matmul(codes), ref.matmul(codes))
 
 
@@ -127,9 +128,9 @@ def test_ideal_float32_falls_back_to_float64_above_the_bound():
     # 8-bit codes x 8-bit weights: worst product sum is 65280 per row, so
     # anything past ~257 rows overflows float32's 24-bit mantissa
     q, codes = _codes_and_weights(arch, 400, 21, positions=3)
-    assert _worst_product_sum(arch, 400) >= _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
+    assert _worst_product_sum(arch, 400) >= _EXACT_BOUNDS[np.dtype(np.float32)]
     big = PackedMatmul(q, SimContext(compute_dtype="float32"), "ideal")
-    assert big.compute_dtype == np.float64
+    assert big.gemm_dtype == np.float64
     ref = PackedMatmul(q, SimContext(), "ideal")
     assert np.array_equal(big.matmul(codes), ref.matmul(codes))
 
@@ -142,12 +143,12 @@ def test_network_fallback_is_per_layer():
     ctx = SimContext(compute_dtype="float32")
     executor = NetworkExecutor(network, ctx, mode="ideal")
     dtypes = {
-        name: layer._packed.compute_dtype
+        name: layer._packed.gemm_dtype
         for name, layer in executor._compute.items()
     }
     assert set(dtypes.values()) == {np.dtype(np.float32), np.dtype(np.float64)}
     for name, layer in executor._compute.items():
-        bound = _EXACT_FLOAT_BOUNDS[np.dtype(np.float32)]
+        bound = _EXACT_BOUNDS[np.dtype(np.float32)]
         expected = (
             np.float64
             if _worst_product_sum(ctx.arch, layer._packed.rows_needed) >= bound
@@ -156,11 +157,36 @@ def test_network_fallback_is_per_layer():
         assert dtypes[name] == np.dtype(expected), name
 
 
-def test_pack_weights_rejects_unsupported_dtypes():
-    arch = ArchSpec(rows=16, cols=16)
-    q, _ = _codes_and_weights(arch, 20, 9)
-    with pytest.raises(EngineError):
-        pack_weights(q, arch, "ideal", "float16")
+def test_ideal_int64_gemm_past_the_float64_bound():
+    """Between 2**53 and 2**63 the ideal GEMM runs in int64 at either
+    precision.  Its products are exact; only their float64 offset
+    correction rounds, by at most an ulp of the worst product sum."""
+    arch = ArchSpec(weight_bits=40, input_bits=12)
+    qmax = 2 ** (arch.weight_bits - 1) - 1
+    rng = np.random.default_rng(53)
+    q = rng.integers(-qmax, qmax + 1, size=(40, 21))
+    codes = rng.integers(0, 2 ** arch.input_bits, size=(3, 40))
+    worst = _worst_product_sum(arch, 40)
+    assert _EXACT_BOUNDS[np.dtype(np.float64)] <= worst < _EXACT_BOUNDS[np.dtype(np.int64)]
+    exact = (codes @ q).astype(np.float64)
+    for dtype in COMPUTE_DTYPES:
+        packed = PackedMatmul(q, SimContext(arch=arch, compute_dtype=dtype), "ideal")
+        assert packed.gemm_dtype == np.int64
+        ulp = np.spacing(float(worst))
+        np.testing.assert_allclose(packed.matmul(codes), exact, rtol=0, atol=ulp)
+
+
+def test_ideal_int64_overflow_is_refused():
+    """Past int64's range no GEMM dtype holds the product sums exactly:
+    wiring refuses the layer by name instead of overflowing silently."""
+    from repro.nn.models import build_model
+
+    network = build_model("tiny_cnn")
+    arch = ArchSpec(weight_bits=40, input_bits=20)
+    first = network.compute_instances[0]
+    assert _worst_product_sum(arch, 9) >= _EXACT_BOUNDS[np.dtype(np.int64)]
+    with pytest.raises(EngineError, match=f"layer {first.name!r}.*int64"):
+        NetworkExecutor(network, SimContext(arch=arch), mode="ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +194,27 @@ def test_pack_weights_rejects_unsupported_dtypes():
 # ---------------------------------------------------------------------------
 
 def test_ideal_pack_preserves_fortran_layout():
-    """The ideal branch keeps q's F-order (it used to force C-contiguity).
+    """The ideal branch keeps q's F-order (it used to force C-contiguity),
+    in the unsigned payload and in the operand wired from it.
 
     Layout matters downstream: BLAS picks summation paths by operand
     memory order, so discarding the layout silently changed performance.
     """
     arch = ArchSpec(rows=16, cols=16)
     qmax = 2 ** (arch.weight_bits - 1) - 1
-    q = np.asfortranarray(RNG.integers(-qmax, qmax + 1, size=(40, 21)))
+    q = np.asfortranarray(RNG.integers(-qmax, qmax + 1, size=(2, 40, 21)))
+    encoded, levels = pack_weights(q, arch, "ideal")
+    assert levels == []
+    assert encoded.dtype == np.uint8
+    assert encoded.flags.f_contiguous and not encoded.flags.c_contiguous
+    assert np.array_equal(encoded, q + 2 ** (arch.weight_bits - 1))
     for dtype in COMPUTE_DTYPES:
-        encoded, conductances = pack_weights(q, arch, "ideal", dtype)
-        assert conductances == []
-        assert encoded.flags.f_contiguous and not encoded.flags.c_contiguous
-        assert encoded.dtype == np.dtype(dtype)  # 40 rows: float32 honoured
-        assert np.array_equal(encoded, q + 2 ** (arch.weight_bits - 1))
+        ctx = SimContext(arch=arch, compute_dtype=dtype)
+        wired = PackedMatmul.from_packed(encoded, [], ctx, "ideal")
+        assert wired.gemm_dtype == np.dtype(dtype)  # 40 rows: float32 honoured
+        operand = wired._encoded
+        assert operand.flags.f_contiguous and not operand.flags.c_contiguous
+        assert np.array_equal(operand, encoded)
 
 
 # ---------------------------------------------------------------------------

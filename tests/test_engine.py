@@ -146,11 +146,18 @@ def test_engine_executes_branching_networks():
 
 
 def test_engine_rejects_negative_inputs():
+    """Negative and non-finite inputs fail loudly, not as a NaN output."""
     network = build_model("tiny_mlp")
     executor = NetworkExecutor(network, SimContext())
     x = -np.ones((1, 8, 8))
     with pytest.raises(EngineError):
         executor.run(x)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones((2, 1, 8, 8))
+        x[1, 0, 3, 4] = bad
+        for validate in (True, False):
+            with pytest.raises(EngineError, match="finite and non-negative"):
+                executor.run(x, validate=validate)
 
 
 def test_validate_sequential_accepts_the_mnist_models():

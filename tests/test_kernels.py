@@ -205,18 +205,18 @@ def test_level_chain_matches_numpy_on_strided_chunks(tier):
 @pytest.mark.parametrize("dst", [np.float32, np.float64])
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_cell_levels_recover_programmed_levels(tier, src, dst, order, monkeypatch):
-    """A (2, 40, 21) stack programmed in ``src`` precision: its stored
-    levels recover the weights, decode to ``src`` conductances that give
-    them back exactly on the level grid, and reach the level GEMM as
-    ``dst`` (float32 while dot_max fits its mantissa, float64 past it) in
-    the weights' memory layout; the read-out on ``tier`` is the numpy
-    tier's, bit for bit, and the exact integer products."""
+    """A programmed (2, 40, 21) stack: its stored levels recover the
+    weights, decode in ``src`` precision to conductances that give them
+    back exactly on the level grid, and reach the level GEMM of a ``src``
+    context as ``dst`` (float32 while dot_max fits its mantissa, float64
+    past it) in the weights' memory layout; the read-out on ``tier`` is
+    the numpy tier's, bit for bit, and the exact integer products."""
     input_bits = 8 if dst == np.float32 else 20
     arch = ArchSpec(rows=16, cols=16, input_bits=input_bits)
     rng = np.random.default_rng(stable_seed("kernels", "levels", "programmed"))
     q = rng.integers(-127, 128, size=(2, 40, 21))
     q = np.asfortranarray(q) if order == "F" else q
-    encoded, stored = pack_weights(q, arch, "analog", src)
+    encoded, stored = pack_weights(q, arch, "analog")
     assert encoded is None and len(stored) == arch.cols_per_weight
     weights = sum(
         s.astype(np.int64) << (arch.cell_bits * i) for i, s in enumerate(stored)

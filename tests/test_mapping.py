@@ -128,3 +128,19 @@ def test_arch_spec_rejects_non_finite_physics():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ArchSpec(**{name: value})
+
+
+def test_arch_spec_rejects_unrepresentable_bit_widths():
+    """The float64 quantisers round codes exactly only below 2**53, and a
+    symmetric weight needs a sign and a magnitude bit."""
+    for kwargs in (
+        {"weight_bits": 1},
+        {"weight_bits": 54},
+        {"weight_bits": 64},
+        {"input_bits": 54},
+        {"cell_bits": 54},
+    ):
+        with pytest.raises(ValueError, match="bit"):
+            ArchSpec(**kwargs)
+    for kwargs in ({"weight_bits": 2}, {"weight_bits": 53, "input_bits": 53, "cell_bits": 53}):
+        ArchSpec(**kwargs)

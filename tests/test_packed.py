@@ -22,7 +22,7 @@ from repro.engine import (
     relative_error,
     run_network,
 )
-from repro.engine.packed import level_conductances
+from repro.engine.packed import level_conductances, pack_weights
 from repro.faults import FaultModel
 from repro.nn import functional as F
 from repro.nn.layers import TensorShape
@@ -195,6 +195,21 @@ def test_exact_level_path_widens_to_float64_past_the_float32_bound():
     result = packed.matmul(codes)
     assert relative_error(result, _conductance_twin(packed).matmul(codes)) <= 1e-12
     assert relative_error(result, codes @ q) <= 1e-9
+
+
+@pytest.mark.parametrize("cell_bits", [9, 12, 16])
+def test_pack_weights_allows_cells_wider_than_the_weights(cell_bits):
+    """An 8-bit weight fits one cell of 9 to 16 bits: pack_weights returns a
+    single uint16 slice of the offset-encoded weights, in q's layout."""
+    arch = ArchSpec(cell_bits=cell_bits)
+    rng = np.random.default_rng(cell_bits)
+    q = np.asfortranarray(rng.integers(-127, 128, size=(2, 40, 21), dtype=np.int8))
+    encoded, levels = pack_weights(q, arch, "analog")
+    assert encoded is None and len(levels) == arch.cols_per_weight == 1
+    (stored,) = levels
+    assert stored.dtype == np.uint16
+    assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+    np.testing.assert_array_equal(stored, q.astype(np.int64) + 128)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """ProgrammedState tests: program/from_state compose identity, save/load
 round-trips (eager and mmap) that stay byte-identical through execution,
-state/request mismatch rejection, content keys, format versioning and the
-LRU + disk cache."""
+state/request mismatch rejection (precision is none: one state wires at
+any compute dtype), content keys, format versioning and the LRU + disk
+cache."""
 
 import json
 import re
@@ -183,6 +184,18 @@ def test_load_rejects_a_format_3_state_naming_the_format(tmp_path):
         ProgrammedState.load(path)
 
 
+def test_load_rejects_a_format_4_state_naming_the_format(tmp_path):
+    """A state whose manifest records the compute dtype it was programmed
+    for (format 4, float ideal payloads) is refused, not wired."""
+    path, _, _ = _saved_state(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["format"] = 4
+    meta["compute_dtype"] = "float64"
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(EngineError, match="format 4"):
+        ProgrammedState.load(path)
+
+
 def test_load_rejects_a_format_2_state_naming_the_format(tmp_path):
     """A state saved before the single-engine layout (its manifest carries
     ``backend`` and per-layer ``q`` payloads) fails loudly, never loads."""
@@ -211,8 +224,6 @@ def test_mismatched_state_is_rejected():
         NetworkExecutor(other, ctx, state=state)
     with pytest.raises(EngineError, match="mode"):
         NetworkExecutor(network, ctx, mode="ideal", state=state)
-    with pytest.raises(EngineError, match="compute_dtype"):
-        NetworkExecutor(network, SimContext(compute_dtype="float32"), state=state)
     with pytest.raises(EngineError, match="seed"):
         NetworkExecutor(network, SimContext(seed=1), state=state)
     with pytest.raises(EngineError, match="arch"):
@@ -230,6 +241,36 @@ def test_noise_difference_is_not_a_mismatch():
     _assert_identical(*_run_pair(fresh, rebuilt, x))
 
 
+@pytest.mark.parametrize("stream", [False, True])
+def test_precision_difference_is_not_a_mismatch(tmp_path, stream):
+    """The state holds integers; precision is chosen at wiring.  One
+    state, programmed under the default float64 context, in memory or
+    saved and memory-mapped, wires under float32 and float64 contexts —
+    noiseless, noisy and ideal, resident or streamed — into exactly the
+    executor programmed at that context, read-out path and GEMM dtype
+    included."""
+    network = build_model("cnn_1")
+    params = NetworkParams(network, 0)
+    noisy = HardwareNoiseConfig.scaled(1.0)
+    for mode, noises in (("analog", (None, noisy)), ("ideal", (None,))):
+        state = program(network, SimContext(), mode, params=params)
+        loaded = ProgrammedState.load(state.save(tmp_path / mode), mmap=True)
+        for dtype in ("float64", "float32"):
+            for noise in noises:
+                ctx = SimContext(compute_dtype=dtype, noise=noise)
+                fresh = NetworkExecutor(network, ctx, mode=mode, params=params)
+                x = fresh.random_batch(2)
+                a = fresh.run(x)
+                for source in (state, loaded):
+                    b = NetworkExecutor(
+                        network, ctx, mode=mode, params=params, state=source, stream=stream
+                    ).run(x)
+                    _assert_identical(a, b)
+                    assert [(t.readout, t.gemm_dtype) for t in a.traces] == [
+                        (t.readout, t.gemm_dtype) for t in b.traces
+                    ]
+
+
 # ---------------------------------------------------------------------------
 # content keys
 # ---------------------------------------------------------------------------
@@ -243,7 +284,6 @@ def test_state_key_is_stable_and_sensitive():
     assert base != state_key("cnn_1", arch, "ideal", 0)
     assert base != state_key("cnn_1", arch, "analog", 1)
     assert base != state_key("cnn_1", ArchSpec(cell_bits=2), "analog", 0)
-    assert base != state_key("cnn_1", arch, "analog", 0, "float32")
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +585,11 @@ def _assert_same_bytes_and_layout(got, ref):
 @pytest.mark.parametrize("groups", [1, 3])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_levels_decode_to_the_format_3_conductances(weight_bits, cell_bits, groups, dtype):
+    """Packing has no precision; ``dtype`` is the decode precision only."""
     arch = ArchSpec(rows=16, cols=16, weight_bits=weight_bits, cell_bits=cell_bits)
     q = _im2col_stack(arch, groups, seed=weight_bits * 10 + cell_bits)
     assert q.dtype == np.min_scalar_type(-(2 ** (weight_bits - 1) - 1))
-    encoded, levels = pack_weights(q, arch, "analog", dtype)
+    encoded, levels = pack_weights(q, arch, "analog")
     assert encoded is None and len(levels) == arch.cols_per_weight
     assert all(s.dtype == np.uint8 for s in levels)
     cell = arch.cell_spec()
@@ -569,14 +610,18 @@ def _grouped_net():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("mmap", [False, True])
 def test_reloaded_levels_decode_to_what_format_3_reloaded(tmp_path, dtype, mmap):
-    """Through save and load the decoded conductances equal a format-3
-    payload's own save/load round trip: np.save keeps F order and writes
-    any other strided stack in C order, for levels and conductances alike."""
+    """Through save and load the levels decoded in ``dtype`` equal a
+    format-3 payload's own save/load round trip: np.save keeps F order and
+    writes any other strided stack in C order, for levels and conductances
+    alike."""
     network = _grouped_net()
-    ctx = SimContext(arch=ArchSpec(rows=16, cols=16), compute_dtype=dtype)
-    state = program(network, ctx, "analog")
+    arch = ArchSpec(rows=16, cols=16)
+    cell = arch.cell_spec()
+    state = program(network, SimContext(arch=arch), "analog")
     loaded = ProgrammedState.load(state.save(tmp_path / "state"), mmap=mmap)
     for i, (fresh, back) in enumerate(zip(state.layers, loaded.layers)):
-        for s, (ref, got) in enumerate(zip(fresh.conductances, back.conductances)):
+        for s, (ref, got) in enumerate(zip(fresh.levels, back.levels)):
+            ref = level_conductances(ref, cell.g_min_s, cell.g_step_s, dtype)
+            got = level_conductances(got, cell.g_min_s, cell.g_step_s, dtype)
             np.save(tmp_path / f"ref{i}{s}.npy", ref)
             _assert_same_bytes_and_layout(got, np.load(tmp_path / f"ref{i}{s}.npy"))

@@ -7,17 +7,10 @@ file handles that die with the layer."""
 import json
 
 import numpy as np
-import pytest
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import SimContext
-from repro.engine import (
-    EngineError,
-    NetworkExecutor,
-    ProgrammedState,
-    program,
-    state_key,
-)
+from repro.engine import NetworkExecutor, ProgrammedState, program
 from repro.nn.models import build_model
 
 
@@ -108,33 +101,6 @@ def test_stream_layer_without_backing_files_serves_resident_layers():
     state = program(network, SimContext(), "analog")
     assert state.source_path is None
     assert state.stream_layer(0) is state.layers[0]
-
-
-def test_executor_rejects_compute_dtype_mismatch():
-    """A float32-programmed state must not wire under a float64 context."""
-    network = build_model("tiny_mlp")
-    ctx32 = SimContext(compute_dtype="float32")
-    state = program(network, ctx32, "analog")
-    with pytest.raises(EngineError, match="compute_dtype"):
-        NetworkExecutor(network, SimContext(), mode="analog", state=state)
-
-
-def test_float32_state_roundtrip_and_distinct_key(tmp_path):
-    """compute_dtype survives save/load and participates in the content key."""
-    network = build_model("tiny_mlp")
-    ctx32 = SimContext(compute_dtype="float32")
-    state = program(network, ctx32, "analog")
-    assert state.compute_dtype == "float32"
-    loaded = ProgrammedState.load(state.save(tmp_path / "s32"))
-    assert loaded.compute_dtype == "float32"
-    assert loaded.key == state.key
-    arch = ctx32.arch
-    assert state_key(network.name, arch, "analog", 0, "float32") != (
-        state_key(network.name, arch, "analog", 0, "float64")
-    )
-    # the payload is one-byte cell levels, and they decode in single precision
-    assert loaded.layers[0].levels[0].dtype == np.uint8
-    assert loaded.layers[0].conductances[0].dtype == np.float32
 
 
 def test_streamed_float32_matches_resident_float32(tmp_path):

@@ -435,9 +435,10 @@ def test_grid_expands_compute_dtypes_and_counts_them():
 
 
 def test_trial_keys_distinguish_compute_dtypes():
-    """A float32 campaign must never collide with a float64 one: neither in
-    the result store (trial content keys) nor in the programmed-state cache
-    (group keys)."""
+    """A float32 campaign must never collide with a float64 one in the
+    result store (trial content keys), while both share the group's one
+    programmed state (group keys): the state holds integers, and precision
+    is chosen at wiring."""
     from repro.sweep.pool import _group_key
 
     f64 = TrialSpec(model="tiny_cnn", noise_scale=0.5, trial=1)
@@ -446,7 +447,7 @@ def test_trial_keys_distinguish_compute_dtypes():
     )
     assert f64.compute_dtype == "float64"  # the historical default
     assert f64.key != f32.key
-    assert _group_key(f64) != _group_key(f32)
+    assert _group_key(f64) == _group_key(f32)
     assert f64.as_row()["compute_dtype"] == "float64"
     assert f32.as_row()["compute_dtype"] == "float32"
 
@@ -471,6 +472,22 @@ def test_mixed_dtype_sweep_runs_and_stays_at_the_floor(tmp_path):
     by_dtype = {row["compute_dtype"]: row for row in outcome.rows}
     assert set(by_dtype) == {"float64", "float32"}
     assert by_dtype["float32"]["rel_error"] <= 1.5 * by_dtype["float64"]["rel_error"]
+
+
+def test_mixed_dtype_grid_programs_each_model_once(tmp_path):
+    """Both precisions of a model wire one programmed state."""
+    from repro.engine import ProgrammedStateCache
+
+    grid = SweepGrid(
+        models=("tiny_cnn", "tiny_mlp"),
+        noise_scales=(0.0, 1.0),
+        trials=2,
+        compute_dtypes=("float64", "float32"),
+    )
+    cache = ProgrammedStateCache()
+    outcome = run_sweep(grid, SweepStore(tmp_path / "mixed.jsonl"), workers=1, cache=cache)
+    assert cache.counts["programmed"] == len(grid.models)
+    assert {row["compute_dtype"] for row in outcome.rows} == {"float64", "float32"}
 
 
 # ---------------------------------------------------------------------------
