@@ -61,12 +61,19 @@ class DTC:
         return (self.levels - 1) * self.t_del_s
 
     def convert(self, code: ArrayLike, noise: Optional[HardwareNoiseConfig] = None) -> ArrayLike:
-        """Convert digital code(s) to delay(s) in seconds."""
-        codes = np.clip(np.asarray(code), 0, self.levels - 1)
-        delays = codes * self.t_del_s
+        """Convert digital code(s) to delay(s) in seconds.
+
+        ``code`` is only read: the delays are one fresh float array, scaled,
+        jittered and clipped in place.
+        """
+        # np.array copies, and keeps a scalar code a (0-d) array, which the
+        # in-place operations below need
+        delays = np.array(code, dtype=float)
+        np.clip(delays, 0, self.levels - 1, out=delays)
+        delays *= self.t_del_s
         if noise is not None and noise.dtc_sigma > 0:
-            delays = delays + noise.sample(noise.dtc_sigma * self.t_del_s, np.shape(delays))
-            delays = np.clip(delays, 0.0, self.full_scale_s)
+            delays += noise.sample(noise.dtc_sigma * self.t_del_s, delays.shape)
+            np.clip(delays, 0.0, self.full_scale_s, out=delays)
         if np.isscalar(code):
             return float(delays)
         return delays

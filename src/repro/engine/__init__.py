@@ -9,7 +9,8 @@ pipeline and the ``run`` subcommand of ``python -m repro.sim`` for the CLI.
 
 * :mod:`repro.engine.params` — deterministic weight/bias generation,
 * :mod:`repro.engine.reference` — the exact float forward pass
-  (:func:`reference_forward_batch`, batch-first),
+  (:func:`reference_forward_batch`, batch-first) and its one-layer step
+  (:func:`reference_layer`), which validated runs walk beside the engine,
 * :mod:`repro.engine.packed` — packed per-slice vectorized execution
   (one batched matmul per layer slice),
 * :mod:`repro.engine.state` — the programmed-chip artifact
@@ -28,13 +29,18 @@ from repro.engine.executor import (
     ExecutionResult,
     LayerTrace,
     NetworkExecutor,
+    compute_reference_outputs,
     program,
     relative_error,
     run_network,
 )
 from repro.engine.packed import PackedMatmul
 from repro.engine.params import LayerParams, NetworkParams
-from repro.engine.reference import reference_forward_batch, validate_supported
+from repro.engine.reference import (
+    reference_forward_batch,
+    reference_layer,
+    validate_supported,
+)
 from repro.engine.state import (
     LayerState,
     ProgrammedState,
@@ -53,6 +59,7 @@ __all__ = [
     "ProgrammedState",
     "ProgrammedStateCache",
     "program",
+    "compute_reference_outputs",
     "run_network",
     "relative_error",
     "state_key",
@@ -60,5 +67,6 @@ __all__ = [
     "NetworkParams",
     "PackedMatmul",
     "reference_forward_batch",
+    "reference_layer",
     "validate_supported",
 ]

@@ -30,9 +30,16 @@ batch; activations are quantised per image (so a batched run produces
 exactly the codes of ``N`` single-image runs) while every matmul amortises
 over the whole batch.
 
-A run is validated against the pure-numpy reference
-(:func:`repro.engine.reference.reference_forward_batch`) with identical
-parameters; the per-layer relative errors quantify what quantisation and
+A run is validated against the pure-numpy float reference with identical
+parameters, walked in lockstep with the engine: after each engine layer,
+:func:`repro.engine.reference.reference_layer` computes the same layer on
+the reference's own activations, and the two outputs give that layer's
+relative error.  The reference's activations are freed by the same
+liveness count as the engine's, so validation holds only the live part of
+the reference.  A caller that already holds the reference's conv/FC outputs
+for the input (a sweep, once per trial group) passes them as
+``run(reference_outputs=...)``, and only the cheap auxiliary layers are
+recomputed.  The per-layer relative errors quantify what quantisation and
 the analog chains cost in accuracy — the paper's core claim is that with
 noise disabled this error stays at the quantisation floor.  Throughput
 runs can skip the float double-compute with ``run(validate=False)``.
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -55,7 +62,9 @@ from repro.engine.reference import (
     apply_aux_batched,
     check_activation_shape,
     conv_padding,
+    liveness_order,
     reference_forward_batch,
+    reference_layer,
     validate_supported,
 )
 from repro.kernels.dispatch import im2col_pack
@@ -83,6 +92,25 @@ def _live_buffer_bytes(arrays) -> int:
             base = base.base
         seen[id(base)] = base.nbytes
     return sum(seen.values())
+
+
+def compute_reference_outputs(
+    network: Network, params: NetworkParams, x: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """The float reference's conv/FC outputs for the ``(N, C, H, W)`` batch ``x``.
+
+    The ``reference_outputs`` argument of :meth:`NetworkExecutor.run`: one
+    :func:`~repro.engine.reference.reference_forward_batch` pass that keeps
+    only the compute layers and frees the rest by liveness (the auxiliary
+    layers are cheap to recompute, and dropping them more than halves the
+    memory held).  The arrays are marked read-only, since a caller shares
+    them between runs.
+    """
+    names = {inst.name for inst in network.compute_instances}
+    outputs = reference_forward_batch(network, params, x, keep=names)[1]
+    for out in outputs.values():
+        out.flags.writeable = False
+    return outputs
 
 
 def relative_error(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -124,8 +152,10 @@ class ExecutionResult:
     batch axis exactly when the input did; ``reference`` is ``None`` for
     ``validate=False`` runs.  ``peak_activation_bytes`` is the maximum
     total size of simultaneously live activations during the engine pass
-    (the quantity liveness-based freeing bounds; it excludes the float
-    reference activations a validated run additionally holds).
+    (the quantity liveness-based freeing bounds).  It counts the engine's
+    activations only: a validated run also holds the live float reference
+    activations walked beside them, freed by the same liveness count, and
+    those are not included.
     ``peak_wired_bytes`` is the maximum weight bytes wired for execution at
     once (the tensors the GEMMs read, see
     :attr:`NetworkExecutor.programmed_bytes`): for a resident executor that
@@ -562,11 +592,33 @@ class NetworkExecutor:
             0.0, 1.0, size=(n, shape.channels, shape.height, shape.width)
         )
 
+    def _check_reference_outputs(
+        self, reference_outputs: Mapping[str, np.ndarray], n: int, validate: bool
+    ) -> None:
+        """Reject reference outputs that cannot stand for this run's reference."""
+        if not validate:
+            raise EngineError("reference_outputs is only read by a validated run")
+        names = set(reference_outputs)
+        missing = [name for name in self._positions if name not in names]
+        extra = sorted(names.difference(self._positions))
+        if missing or extra:
+            raise EngineError(
+                "reference_outputs must hold exactly the compute layers: "
+                f"missing {missing}, extra {extra}"
+            )
+        for name, ref in reference_outputs.items():
+            if np.ndim(ref) == 0 or np.shape(ref)[0] != n:
+                raise EngineError(
+                    f"reference output {name!r} has shape {np.shape(ref)}, "
+                    f"not a batch of {n}"
+                )
+
     def run(
         self,
         x: Optional[np.ndarray] = None,
         validate: bool = True,
         free_activations: bool = True,
+        reference_outputs: Optional[Mapping[str, np.ndarray]] = None,
     ) -> ExecutionResult:
         """Execute ``x`` (default: :meth:`random_input`) through the crossbars.
 
@@ -579,10 +631,21 @@ class NetworkExecutor:
         reported as ``peak_activation_bytes``.
 
         ``x`` may be a single ``(C, H, W)`` image or an ``(N, C, H, W)``
-        batch; the output mirrors the input's batchedness.  With
-        ``validate=False`` the float reference forward pass is skipped
-        entirely (the per-layer traces then carry NaN relative errors) —
-        use it for throughput runs where the double-compute would dominate.
+        batch; the output mirrors the input's batchedness.  A validated run
+        computes the float reference layer by layer beside the engine (see
+        the module docstring) and frees it by the same liveness.  With
+        ``validate=False`` the reference is skipped entirely (the per-layer
+        traces then carry NaN relative errors) — use it for throughput runs
+        where the double-compute would dominate.
+
+        ``reference_outputs`` maps every compute (conv/FC) layer's name to
+        its ``(N, ...)`` float reference output for this very input, as
+        :func:`compute_reference_outputs` returns them.  The validation
+        then reads those layers instead of recomputing them and recomputes
+        only the auxiliary layers: the result is bit for bit that of a
+        plain validated run.  The arrays are only read.  A missing or extra
+        layer, another batch size or ``validate=False`` is an
+        :class:`EngineError`.
         """
         act = np.asarray(x, dtype=float) if x is not None else self.random_input()
         single = act.ndim == 3
@@ -600,25 +663,20 @@ class NetworkExecutor:
                 "engine inputs must be finite and non-negative (unsigned input codes)"
             )
 
-        ref_acts: Optional[Dict[str, np.ndarray]] = None
-        if validate:
-            # one batched float pass — not N separate Python-loop forwards
-            ref_acts = reference_forward_batch(self.network, self.params, batch)[1]
+        if reference_outputs is not None:
+            self._check_reference_outputs(reference_outputs, batch.shape[0], validate)
+        # the float reference's live activations, walked beside ``live``
+        ref_live: Optional[Dict[str, np.ndarray]] = (
+            {NETWORK_INPUT: batch} if validate else None
+        )
 
-        order = self.network.topological_order()
         output_name = self.network.output.name
-        # remaining-consumer counts per producer, straight from the graph's
-        # liveness map; duplicate edges (a node consuming one producer
-        # twice) count twice
-        pending: Dict[str, int] = {
-            name: len(dests) for name, dests in self.network.consumers().items()
-        }
         live: Dict[str, np.ndarray] = {NETWORK_INPUT: batch}
         peak_bytes = _live_buffer_bytes(live.values())
         peak_wired = 0 if self.stream else self.programmed_bytes
         total_stuck = total_remapped = 0
         traces: List[LayerTrace] = []
-        for inst in order:
+        for inst, dying in liveness_order(self.network):
             operands = [live[src] for src in inst.inputs]
             layer_stuck = layer_remapped = 0
             readout = gemm_dtype = None
@@ -641,39 +699,46 @@ class NetworkExecutor:
             else:
                 out = apply_aux_batched(inst, operands, self.params)
                 crossbars = 0
+            del operands  # the engine's inputs may die before the reference step
             # every batch slice shares out.shape[1:], so checking one image
             # checks them all with the reference path's own shape logic
             check_activation_shape(inst, out[0])
+            live[inst.name] = out
+            peak_bytes = max(peak_bytes, _live_buffer_bytes(live.values()))
+            dead = dying if free_activations else []
+            for name in dead:
+                del live[name]
+            rel_error = float("nan")
+            if ref_live is not None:
+                # the same layer on the reference's own activations, which
+                # die with the engine's once this step has read them
+                if reference_outputs is not None and inst.name in self._positions:
+                    ref_out = reference_outputs[inst.name]
+                    check_activation_shape(inst, ref_out[0])
+                else:
+                    ref_out = reference_layer(
+                        inst, [ref_live[src] for src in inst.inputs], self.params
+                    )
+                ref_live[inst.name] = ref_out
+                rel_error = relative_error(out, ref_out)
+                for name in dead:
+                    del ref_live[name]
             traces.append(
                 LayerTrace(
                     name=inst.name,
                     kind=inst.kind,
                     crossbars=crossbars,
-                    rel_error=(
-                        relative_error(out, ref_acts[inst.name])
-                        if ref_acts is not None
-                        else float("nan")
-                    ),
+                    rel_error=rel_error,
                     stuck_cells=layer_stuck,
                     remapped_rows=layer_remapped,
                     readout=readout,
                     gemm_dtype=gemm_dtype,
                 )
             )
-            live[inst.name] = out
-            peak_bytes = max(peak_bytes, _live_buffer_bytes(live.values()))
-            if free_activations:
-                for src in set(inst.inputs):
-                    pending[src] -= inst.inputs.count(src)
-                    if pending[src] == 0 and src != output_name:
-                        del live[src]
-                if inst.name != output_name and pending[inst.name] == 0:
-                    # a node nothing consumes (and which is not the output)
-                    del live[inst.name]
         output = live[output_name]
         reference = None
-        if ref_acts is not None:
-            reference = ref_acts[output_name][0] if single else ref_acts[output_name]
+        if ref_live is not None:
+            reference = ref_live[output_name][0] if single else ref_live[output_name]
         return ExecutionResult(
             model=self.network.name,
             mode=self.mode,

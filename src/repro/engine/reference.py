@@ -4,15 +4,17 @@ This is the ground truth the crossbar engine is validated against: the same
 :class:`~repro.engine.params.NetworkParams` pushed through the exact
 float kernels of :mod:`repro.nn.functional`, walking the network's
 deterministic topological order exactly as the crossbar executor does.
-:func:`reference_forward_batch` is the one float forward pass.  The
-auxiliary (non-MAC) layers are applied through :func:`apply_aux_batched`,
-which the crossbar executor shares, so the two paths can only differ in the
-conv/FC dot products — exactly the part the crossbars replace.
+:func:`reference_layer` is one step of the float forward pass and
+:func:`reference_forward_batch` the whole pass; the executor validates by
+calling the same step beside each of its own layers.  The auxiliary
+(non-MAC) layers are applied through :func:`apply_aux_batched`, which the
+crossbar executor shares, so the two paths can only differ in the conv/FC
+dot products — exactly the part the crossbars replace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,11 +70,14 @@ def apply_aux_batched(
 
     ``inputs`` holds one ``(N, ...)`` array per producer edge of the node
     (single-input layers receive a one-element list).  Each layer runs over
-    the whole batch at once; pooling folds the batch into the channel axis,
-    which the per-channel :mod:`repro.nn.functional` kernels treat
-    identically.  Shared by the crossbar executor and the float reference,
-    so the two paths can only differ in the conv/FC dot products.  A
-    conv/FC (or unknown) kind raises :class:`EngineError`.
+    the whole batch at once; pooling hands the ``(N, C, H, W)`` stack to
+    the :mod:`repro.nn.functional` kernels as it is, in whatever memory
+    layout its producer left it (a conv output is channel-last).  Inputs
+    are never written, so the float reference's arrays (and a sweep's
+    read-only reference memo) pass through unchanged.  Shared by the
+    crossbar executor and the float reference, so the two paths can only
+    differ in the conv/FC dot products.  A conv/FC (or unknown) kind
+    raises :class:`EngineError`.
     """
     layer = inst.layer
     acts = inputs[0]
@@ -83,8 +88,7 @@ def apply_aux_batched(
         assert isinstance(layer, Pool2D)
         pad = _resolve_padding(layer.padding, layer.kernel)
         pool = F.max_pool2d if layer.mode == "max" else F.avg_pool2d
-        pooled = pool(acts.reshape((-1,) + acts.shape[2:]), layer.kernel, layer.stride, pad)
-        return pooled.reshape((n, acts.shape[1]) + pooled.shape[1:])
+        return pool(acts, layer.kernel, layer.stride, pad)
     if inst.kind == "bn":
         p = params[inst.name]
         return acts * p.scale[None, :, None, None] + p.shift[None, :, None, None]
@@ -119,19 +123,79 @@ def check_activation_shape(inst: LayerInstance, act: np.ndarray) -> None:
         )
 
 
+def reference_layer(
+    inst: LayerInstance, operands: Sequence[np.ndarray], params: NetworkParams
+) -> np.ndarray:
+    """One layer of the float forward pass over a batch.
+
+    ``operands`` holds the layer's ``(N, ...)`` inputs, one per producer
+    edge.  Conv and FC layers run through
+    :func:`repro.nn.functional.conv2d` and
+    :func:`repro.nn.functional.fully_connected`, one im2col and one stacked
+    GEMM per layer (per group) for the whole batch; every other layer
+    through :func:`apply_aux_batched`.  The output's shape is checked
+    against shape inference.  :func:`reference_forward_batch` loops over
+    it, and the crossbar executor calls it beside each engine layer.
+    """
+    layer = inst.layer
+    if isinstance(layer, Conv2D):
+        p = params[inst.name]
+        out = F.conv2d(
+            operands[0],
+            p.weights,
+            p.bias,
+            stride=layer.stride,
+            pad=conv_padding(layer),
+            groups=layer.groups,
+        )
+    elif isinstance(layer, FullyConnected):
+        p = params[inst.name]
+        out = F.fully_connected(operands[0], p.weights, p.bias)
+    else:
+        out = apply_aux_batched(inst, operands, params)
+    check_activation_shape(inst, out[0])
+    return out
+
+
+def liveness_order(network: Network) -> List[Tuple[LayerInstance, List[str]]]:
+    """The topological order, each layer paired with the activations that
+    die once it has run.
+
+    An activation dies after its last consumer has run (a node consuming
+    one producer twice counts twice); one that nothing consumes dies as
+    soon as it is produced.  The network input dies like any producer, and
+    the network output never does.
+    """
+    output_name = network.output.name
+    pending = {name: len(dests) for name, dests in network.consumers().items()}
+    order = []
+    for inst in network.topological_order():
+        dying = []
+        for src in dict.fromkeys(inst.inputs):
+            pending[src] -= inst.inputs.count(src)
+            if pending[src] == 0 and src != output_name:
+                dying.append(src)
+        if inst.name != output_name and pending[inst.name] == 0:
+            dying.append(inst.name)
+        order.append((inst, dying))
+    return order
+
+
 def reference_forward_batch(
-    network: Network, params: NetworkParams, x: np.ndarray
+    network: Network,
+    params: NetworkParams,
+    x: np.ndarray,
+    keep: Optional[Collection[str]] = None,
 ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """The float forward pass over a non-empty ``(N, C, H, W)`` batch.
 
-    Walks the graph in deterministic topological order and returns the
-    ``(N, ...)`` outputs and per-layer activation stacks.  Every conv and
-    FC output comes from :func:`repro.nn.functional.conv2d` and
-    :func:`repro.nn.functional.fully_connected`, one im2col and one stacked
-    GEMM per layer (per group) for the whole batch.  Every layer's
-    activations stay resident (the executor compares against all of them);
-    throughput runs that need the liveness-freed memory profile skip
-    validation instead.
+    Walks the graph in deterministic topological order through
+    :func:`reference_layer` and returns the ``(N, ...)`` outputs and the
+    activation stacks of the layers named in ``keep`` (default: every
+    layer), in that order.  Every other activation is freed as soon as its
+    last consumer has run, so a pass that keeps a few layers holds only
+    the live part of the rest.  A validated engine run does not call this:
+    it walks :func:`reference_layer` beside its own layers.
     """
     validate_supported(network)
     acts = np.asarray(x, dtype=float)
@@ -140,26 +204,13 @@ def reference_forward_batch(
             "expected a non-empty (batch, channels, height, width) batch, got "
             f"shape {acts.shape}"
         )
-    activations: Dict[str, np.ndarray] = {NETWORK_INPUT: acts}
-    for inst in network.topological_order():
-        layer = inst.layer
-        operands: List[np.ndarray] = [activations[src] for src in inst.inputs]
-        if isinstance(layer, Conv2D):
-            p = params[inst.name]
-            out = F.conv2d(
-                operands[0],
-                p.weights,
-                p.bias,
-                stride=layer.stride,
-                pad=conv_padding(layer),
-                groups=layer.groups,
-            )
-        elif isinstance(layer, FullyConnected):
-            p = params[inst.name]
-            out = F.fully_connected(operands[0], p.weights, p.bias)
-        else:
-            out = apply_aux_batched(inst, operands, params)
-        check_activation_shape(inst, out[0])
-        activations[inst.name] = out
-    del activations[NETWORK_INPUT]
-    return activations[network.output.name], activations
+    live: Dict[str, np.ndarray] = {NETWORK_INPUT: acts}
+    kept: Dict[str, np.ndarray] = {}
+    for inst, dying in liveness_order(network):
+        out = reference_layer(inst, [live[src] for src in inst.inputs], params)
+        live[inst.name] = out
+        if keep is None or inst.name in keep:
+            kept[inst.name] = out
+        for name in dying:
+            del live[name]
+    return live[network.output.name], kept

@@ -8,8 +8,10 @@ the engine they check.  :func:`relu` and the pooling kernels serve both
 paths through :func:`repro.engine.reference.apply_aux_batched`.
 
 Conv and FC kernels take a leading batch axis, ``(N, C, H, W)``.  The
-pooling kernels take ``(C, H, W)`` planes; batched callers fold the batch
-into the channel axis, which the per-channel reductions treat identically.
+pooling kernels pool the last two axes of any ``(..., H, W)`` stack, so a
+batch passes straight through.  Max pooling reads the input in its own
+memory layout and returns C-contiguous output; average pooling keeps the
+per-window summation order of its loop reference.
 """
 
 from __future__ import annotations
@@ -140,7 +142,9 @@ def conv2d(
         cols, out_h, out_w = im2col_batch(x_g, kernel_h, stride, pad)
         w_g = weights[g * group_out : (g + 1) * group_out]
         outputs.append(cols @ w_g.reshape(group_out, -1).T)  # (N, P, D/groups)
-    out = np.concatenate(outputs, axis=2)  # (N, P, D)
+        del cols  # the largest temporary: gone before the next step allocates
+    # (N, P, D); one group's output already is the whole layer's
+    out = outputs.pop() if groups == 1 else np.concatenate(outputs, axis=2)
     if bias is not None:
         out = out + bias
     return out.transpose(0, 2, 1).reshape(n, out_channels, out_h, out_w)
@@ -163,21 +167,44 @@ def fully_connected(
 
 
 def max_pool2d(x: np.ndarray, kernel: int, stride: int = 0, pad: int = 0) -> np.ndarray:
-    """Max pooling of a (C, H, W) tensor.
+    """Max pooling over the last two axes of a ``(..., H, W)`` tensor.
 
-    Padded positions are filled with ``-inf`` so an all-negative window is
-    not corrupted by the padding value.
+    A running :func:`numpy.maximum` over the ``kernel x kernel`` strided
+    views of the input, in the input's own memory layout (a channel-last
+    conv output is read channel-last, with no gather of the windows); max
+    is exact, so the order of the views cannot change a value.  Padded
+    positions are filled with ``-inf`` so an all-negative window is not
+    corrupted by the padding value.  The output is a C-contiguous float
+    array.
     """
-    return _pool2d(x, kernel, stride, np.max, pad, fill=-np.inf)
+    x, out_h, out_w, stride = _pool2d_padded(x, kernel, stride, pad, fill=-np.inf)
+    out = None
+    for i in range(kernel):
+        for j in range(kernel):
+            view = x[
+                ..., i : i + stride * (out_h - 1) + 1 : stride,
+                j : j + stride * (out_w - 1) + 1 : stride,
+            ]
+            if out is None:
+                out = view.copy(order="K")
+            else:
+                np.maximum(out, view, out=out)
+    return np.ascontiguousarray(out, dtype=float)
 
 
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 0, pad: int = 0) -> np.ndarray:
-    """Average pooling of a (C, H, W) tensor.
+    """Average pooling over the last two axes of a ``(..., H, W)`` tensor.
 
     Padded positions contribute zeros and the divisor is the full window
     size (count-include-pad semantics).
     """
-    return _pool2d(x, kernel, stride, np.mean, pad, fill=0.0)
+    x, out_h, out_w, stride = _pool2d_padded(x, kernel, stride, pad, fill=0.0)
+    # (..., out_h, out_w, k*k) copy of every pooling window; the mean runs
+    # over the window axis in the same element order as the per-position
+    # loop reference, so results match it bit-for-bit.
+    windows = sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
+    windows = windows[..., ::stride, ::stride, :, :].reshape(x.shape[:-2] + (out_h, out_w, -1))
+    return np.asarray(np.mean(windows, axis=-1), dtype=float)
 
 
 def _pool2d_padded(
@@ -186,7 +213,8 @@ def _pool2d_padded(
     """Shared validation + padding of the pooling implementations.
 
     Returns the (possibly padded) input, the output dimensions and the
-    normalised stride (``stride == 0`` means "same as kernel").
+    normalised stride (``stride == 0`` means "same as kernel").  The padded
+    copy keeps the input's memory layout.
     """
     stride = stride if stride > 0 else kernel
     if pad < 0:
@@ -196,15 +224,18 @@ def _pool2d_padded(
             f"pad ({pad}) may be at most half the kernel ({kernel}); larger "
             "padding creates windows made entirely of padding"
         )
-    channels, height, width = x.shape
+    height, width = x.shape[-2:]
     if pad > 0:
-        # float cast: integer inputs cannot hold the -inf fill of max pooling
-        x = np.pad(
-            np.asarray(x, dtype=float),
-            ((0, 0), (pad, pad), (pad, pad)),
-            mode="constant",
-            constant_values=fill,
+        # float: integer inputs cannot hold the -inf fill of max pooling
+        padded = np.empty_like(
+            x, dtype=float, shape=x.shape[:-2] + (height + 2 * pad, width + 2 * pad)
         )
+        padded[..., :pad, :] = fill
+        padded[..., -pad:, :] = fill
+        padded[..., pad:-pad, :pad] = fill
+        padded[..., pad:-pad, -pad:] = fill
+        padded[..., pad:-pad, pad:-pad] = x
+        x = padded
     out_h = (height + 2 * pad - kernel) // stride + 1
     out_w = (width + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -212,32 +243,20 @@ def _pool2d_padded(
     return x, out_h, out_w, stride
 
 
-def _pool2d(
-    x: np.ndarray, kernel: int, stride: int, reducer, pad: int = 0, fill: float = 0.0
-) -> np.ndarray:
-    x, out_h, out_w, stride = _pool2d_padded(x, kernel, stride, pad, fill)
-    channels = x.shape[0]
-    # (C, out_h, out_w, k*k) strided view of every pooling window; the
-    # reduction runs over the window axis in the same element order as the
-    # per-position loop reference, so results match it bit-for-bit.
-    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride].reshape(channels, out_h, out_w, -1)
-    return np.asarray(reducer(windows, axis=-1), dtype=float)
-
-
 def _pool2d_loop(
     x: np.ndarray, kernel: int, stride: int, reducer, pad: int = 0, fill: float = 0.0
 ) -> np.ndarray:
-    """Naive per-output-position loop reference for :func:`_pool2d`.
+    """Naive per-output-position loop reference for the pooling kernels.
 
-    Kept (not exported) for the vectorization micro-benchmark; see
+    Kept (not exported) so the vectorization micro-benchmark can assert
+    :func:`max_pool2d` and :func:`avg_pool2d` match it bit-for-bit; see
     ``tests/test_engine.py``.
     """
     x, out_h, out_w, stride = _pool2d_padded(x, kernel, stride, pad, fill)
-    channels = x.shape[0]
-    out = np.empty((channels, out_h, out_w), dtype=float)
+    lead = x.shape[:-2]
+    out = np.empty(lead + (out_h, out_w), dtype=float)
     for i in range(out_h):
         for j in range(out_w):
-            window = x[:, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            out[:, i, j] = reducer(window.reshape(channels, -1), axis=1)
+            window = x[..., i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            out[..., i, j] = reducer(window.reshape(lead + (-1,)), axis=-1)
     return out

@@ -22,6 +22,16 @@ variation is applied at executor wiring from the trial's own noise streams,
 so the rows stay bit-for-bit identical to programming each trial from
 scratch.
 
+The float reference a trial validates against depends only on the weights
+and the input, which the model and seed fix for every trial of a group.
+The process that runs the trials (each worker, or the parent inline)
+computes the reference's conv/FC outputs once per ``(model, seed)`` and
+hands them to every trial's validated run, which recomputes only the cheap
+auxiliary layers (:meth:`~repro.engine.NetworkExecutor.run`'s
+``reference_outputs``).  A process holds one group's outputs at a time.
+They are never shipped between processes: the BLAS thread count of the
+process computing them can move their low bits.
+
 :func:`run_sweep` drives a grid through a ``ProcessPoolExecutor`` (or
 inline for ``workers <= 1``), appending rows to the
 :class:`~repro.sweep.store.SweepStore` as they complete and compacting the
@@ -62,12 +72,35 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sweep.grid import SweepGrid, TrialSpec
 from repro.sweep.store import SweepStore
 
+#: a reference memo: the float reference's conv/FC outputs (read-only
+#: arrays by layer name) of at most one trial group, keyed by what they
+#: depend on, ``(model, seed)``
+ReferenceMemo = Dict[Tuple[str, int], dict]
+
+
+def _group_reference(memo: ReferenceMemo, spec: TrialSpec, executor, x) -> dict:
+    """The conv/FC reference outputs of ``spec``'s group for input ``x``.
+
+    Computed by :func:`~repro.engine.compute_reference_outputs` (one float
+    reference pass; read-only arrays, since every later trial of the group
+    reads them) the first time the group's ``(model, seed)`` is seen,
+    after dropping whatever group ``memo`` held before.
+    """
+    key = (spec.model, spec.seed)
+    if key not in memo:
+        from repro.engine import compute_reference_outputs
+
+        memo.clear()
+        memo[key] = compute_reference_outputs(executor.network, executor.params, x[None])
+    return memo[key]
+
 
 def run_trial(
     spec: TrialSpec,
     state=None,
     network=None,
     params=None,
+    memo: Optional[ReferenceMemo] = None,
 ) -> dict:
     """Run one sweep trial and return its deterministic result row.
 
@@ -84,6 +117,11 @@ def run_trial(
     straight to wiring.  With all three ``None`` the trial programs its own
     chip — the same row, noise included, because the state is noise-free
     and per-trial variation is applied at wiring time.
+
+    ``memo`` is the calling process's :data:`ReferenceMemo`: the trial's
+    validation reads its group's conv/FC reference outputs from it (built
+    on the first trial of the group) instead of recomputing them — the
+    same row again.
     """
     from repro.engine import NetworkExecutor
     from repro.nn.models import build_model
@@ -92,7 +130,9 @@ def run_trial(
         network = build_model(spec.model)
     ctx = spec.context()
     executor = NetworkExecutor(network, ctx, mode=spec.mode, params=params, state=state)
-    result = executor.run(executor.random_input(), validate=True)
+    x = executor.random_input()
+    references = None if memo is None else _group_reference(memo, spec, executor, x)
+    result = executor.run(x, validate=True, reference_outputs=references)
     row = spec.as_row()
     row["rel_error"] = result.rel_error
     row["crossbars"] = executor.crossbars
@@ -104,6 +144,8 @@ def run_trial(
 #: Populated by the pool initializer (and lazily by run_trial_chunk), so a
 #: worker loads each programmed state once and serves every chunk from it.
 _WORKER_STATES: Dict[str, tuple] = {}
+#: this worker's reference memo (see :func:`_group_reference`)
+_WORKER_REFERENCE: ReferenceMemo = {}
 
 
 def _load_worker_state(path: str) -> tuple:
@@ -188,12 +230,14 @@ def run_trial_chunk(specs: Sequence[TrialSpec], snapshot_path: str) -> List[dict
 
     The chunk is the pool's unit of work: it amortises task submission and
     result pickling over several trials, and every trial reuses the
-    worker-memoised state/network/params loaded from ``snapshot_path``.
+    worker-memoised state/network/params loaded from ``snapshot_path`` and
+    the worker's reference memo.
     """
     _maybe_inject_fault()
     state, network, params = _load_worker_state(snapshot_path)
     return [
-        run_trial(spec, state=state, network=network, params=params) for spec in specs
+        run_trial(spec, state, network, params, memo=_WORKER_REFERENCE)
+        for spec in specs
     ]
 
 
@@ -439,6 +483,8 @@ def run_sweep(
     Each distinct ``(model, arch, mode, seed)`` group is
     programmed once in the parent and its snapshot reused for every
     trial — bit-identical rows, minus the per-trial re-programming cost.
+    Likewise the process running the trials computes each group's float
+    reference conv/FC outputs once (see the module docstring).
     ``cache`` (a
     :class:`~repro.engine.state.ProgrammedStateCache`) persists and reuses
     programmed states across invocations; without one, snapshots for the
@@ -564,12 +610,13 @@ def run_sweep(
         program_s = time.perf_counter() - t_program
 
         if pool is None and (workers <= 1 or len(work) == 1):
+            memo: ReferenceMemo = {}
             for gkey, gspecs in groups.items():
                 state, network, params = states[gkey]
                 for shared in gspecs:
                     try:
                         row = call_with_retries(
-                            run_trial, shared, state, network, params
+                            run_trial, shared, state, network, params, memo
                         )
                     except Exception as exc:
                         if not keep_going:

@@ -56,3 +56,39 @@ def test_scalar_conversions_return_python_types():
     assert isinstance(delay, float)
     assert isinstance(tdc.convert(delay), int)
     assert tdc.convert(delay) == 17
+
+
+def test_dtc_convert_is_the_formula_and_leaves_codes_alone():
+    """Delays are clip(code) * T_del, plus the jitter draw clipped to full
+    scale, bit for bit — and the codes are never written."""
+    dtc = DTC()
+    noise = HardwareNoiseConfig(dtc_sigma=0.3, seed=5)
+    rng = np.random.default_rng(3)
+    codes = [
+        rng.integers(-20, dtc.levels + 20, size=(3, 4, 5)),
+        rng.uniform(-20.0, dtc.levels + 20.0, size=(6, 7)),
+        rng.integers(0, dtc.levels, size=(2, 9)).astype(np.uint8),
+        200,
+        17.25,
+    ]
+    for code in codes:
+        before = np.array(code, copy=True)
+        by_hand = np.clip(np.asarray(code, dtype=float), 0, dtc.levels - 1) * dtc.t_del_s
+        delays = dtc.convert(code)
+        np.testing.assert_array_equal(np.asarray(delays), by_hand)
+        assert np.asarray(delays).tobytes() == np.asarray(by_hand).tobytes()
+
+        jitter = noise.stream("dtc").sample(noise.dtc_sigma * dtc.t_del_s, np.shape(code))
+        jittered = np.clip(by_hand + jitter, 0.0, dtc.full_scale_s)
+        noisy = dtc.convert(code, noise.stream("dtc"))
+        assert np.asarray(noisy).tobytes() == np.asarray(jittered).tobytes()
+        assert not np.array_equal(np.asarray(noisy), by_hand)
+
+        if np.isscalar(code):
+            assert isinstance(delays, float) and isinstance(noisy, float)
+        else:
+            assert delays.dtype == noisy.dtype == np.float64
+            assert delays.shape == noisy.shape == np.shape(code)
+            assert not np.shares_memory(delays, code)
+        np.testing.assert_array_equal(np.asarray(code), before)
+        assert np.asarray(code).dtype == before.dtype

@@ -231,6 +231,82 @@ def test_engine_rejects_empty_batches():
             executor.run(np.zeros((0, 1, 28, 28)), validate=validate)
 
 
+@pytest.mark.parametrize("name,batch", [("resnet_smoke", 2), ("squeezenet", 1)])
+def test_validated_run_holds_only_the_live_reference(name, batch):
+    """Validation walks the reference beside the engine and frees it by
+    liveness: it costs well under the reference's full activation set."""
+    import tracemalloc
+
+    network = build_model(name)
+    executor = NetworkExecutor(network, SimContext())
+    x = executor.random_batch(batch)
+    _, acts = reference_forward_batch(network, executor.params, x)
+    reference_bytes = sum(act.nbytes for act in acts.values())
+    del acts
+
+    def peak(validate):
+        tracemalloc.start()
+        try:
+            executor.run(x, validate=validate)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = peak(True) - peak(False)
+    assert extra < reference_bytes / 2, (extra, reference_bytes)
+
+
+@pytest.mark.parametrize("name", ["resnet_smoke", "squeezenet"])
+@pytest.mark.parametrize("noise", [None, HardwareNoiseConfig.scaled(1.0)])
+def test_reference_outputs_reproduce_a_validated_run(name, noise):
+    """Handing a run its input's conv/FC reference outputs changes no bit of
+    the result, leaves them untouched, and a memo that cannot be this
+    run's reference is refused."""
+    from repro.engine import compute_reference_outputs, program
+
+    network = build_model(name)
+    ctx = SimContext(noise=noise)
+    params = NetworkParams(network, ctx.seed)
+    state = program(network, ctx, params=params)
+
+    def executor():  # noisy reads advance per run: one executor per run
+        return NetworkExecutor(network, ctx, params=params, state=state)
+
+    x = executor().random_batch(2) if name == "resnet_smoke" else executor().random_input()
+    batch = x if x.ndim == 4 else x[None]
+    _, acts = reference_forward_batch(network, params, batch)
+    memo = {inst.name: acts[inst.name] for inst in network.compute_instances}
+    del acts
+    before = {layer: out.copy() for layer, out in memo.items()}
+    shared = compute_reference_outputs(network, params, batch)
+    assert list(shared) == list(memo)
+    for layer, out in shared.items():
+        assert not out.flags.writeable
+        assert out.tobytes() == memo[layer].tobytes()
+
+    plain = executor().run(x)
+    memoised = executor().run(x, reference_outputs=memo)
+    assert memoised.output.tobytes() == plain.output.tobytes()
+    assert memoised.reference.shape == plain.reference.shape
+    assert memoised.reference.tobytes() == plain.reference.tobytes()
+    assert [t.rel_error for t in memoised.traces] == [t.rel_error for t in plain.traces]
+    assert memoised.rel_error == plain.rel_error
+    for layer, out in memo.items():
+        assert out.tobytes() == before[layer].tobytes()
+
+    first = network.compute_instances[0].name
+    bad_memos = [
+        {layer: out for layer, out in memo.items() if layer != first},
+        {**memo, "not_a_layer": memo[first]},
+        {layer: np.concatenate([out, out]) for layer, out in memo.items()},
+    ]
+    for bad in bad_memos:
+        with pytest.raises(EngineError):
+            executor().run(x, reference_outputs=bad)
+    with pytest.raises(EngineError):
+        executor().run(x, validate=False, reference_outputs=memo)
+
+
 def test_network_params_are_seed_deterministic_and_layer_local():
     network = build_model("tiny_cnn")
     a = NetworkParams(network, seed=5)
@@ -268,22 +344,47 @@ def test_vectorized_im2col_matches_loop_bit_for_bit():
         np.testing.assert_array_equal(fast, slow)
 
 
+def _channel_last(x):
+    """``x``'s values in a channel-last ``(N, C, H, W)`` view, the layout a
+    conv output has."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def test_vectorized_pool2d_matches_loop_bit_for_bit():
-    for reducer, fill in [(np.max, -np.inf), (np.mean, 0.0)]:
-        for channels, size, kernel, stride, pad in [
-            (3, 17, 3, 2, 1),
-            (8, 12, 2, 0, 0),
-            (2, 9, 4, 3, 2),
-        ]:
+    pools = [(F.max_pool2d, np.max, -np.inf), (F.avg_pool2d, np.mean, 0.0)]
+    geometries = [(3, 17, 3, 2, 1), (8, 12, 2, 0, 0), (2, 9, 4, 3, 2)]
+    for pool, reducer, fill in pools:
+        for channels, size, kernel, stride, pad in geometries:
             x = RNG.normal(size=(channels, size, size))
-            fast = F._pool2d(x, kernel, stride, reducer, pad, fill)
+            fast = pool(x, kernel, stride, pad)
             slow = F._pool2d_loop(x, kernel, stride, reducer, pad, fill)
             np.testing.assert_array_equal(fast, slow)
     # integer inputs take the no-padding path without a float cast
     xi = RNG.integers(0, 10, size=(2, 8, 8))
-    np.testing.assert_array_equal(
-        F._pool2d(xi, 2, 0, np.max), F._pool2d_loop(xi, 2, 0, np.max)
-    )
+    np.testing.assert_array_equal(F.max_pool2d(xi, 2), F._pool2d_loop(xi, 2, 0, np.max))
+    # batched stacks, in C order and channel-last, padded and unpadded; the
+    # all-negative input makes padded windows depend on the -inf fill
+    for pool, reducer, fill in pools:
+        for channels, size, kernel, stride, pad in geometries + [(4, 10, 3, 2, 0)]:
+            for x in (
+                RNG.normal(size=(2, channels, size, size)),
+                -RNG.uniform(1.0, 2.0, size=(3, channels, size, size)),
+            ):
+                slow = F._pool2d_loop(x, kernel, stride, reducer, pad, fill)
+                for layout in (x, _channel_last(x)):
+                    fast = pool(layout, kernel, stride, pad)
+                    assert fast.dtype == np.float64
+                    assert fast.tobytes() == slow.tobytes()
+                    if pool is F.max_pool2d:
+                        assert fast.flags.c_contiguous
+                    np.testing.assert_array_equal(layout, x)  # input untouched
+    xi = RNG.integers(-10, 10, size=(2, 3, 8, 8))
+    for layout in (xi, _channel_last(xi)):
+        for pad in (0, 1):
+            fast = F.max_pool2d(layout, 3, 2, pad)
+            slow = F._pool2d_loop(xi, 3, 2, np.max, pad, -np.inf)
+            assert fast.dtype == np.float64 and fast.flags.c_contiguous
+            assert fast.tobytes() == slow.tobytes()
 
 
 def test_vectorized_im2col_is_at_least_10x_faster_on_a_vgg_layer():

@@ -279,6 +279,23 @@ def test_run_trial_from_shared_state_matches_from_scratch():
     assert shared_row == legacy_row
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memoised_sweep_rows_equal_trials_run_from_scratch(tmp_path, workers):
+    """Each process computes a group's float reference once and serves it
+    to every trial of that group; no row may tell.  Two models interleave
+    across the workers' chunks, so a memo served to the wrong group would
+    show as a refused or wrong row."""
+    grid = SweepGrid(
+        models=("tiny_cnn", "resnet_smoke"), noise_scales=(0.5, 1.0), trials=3, seed=0
+    )
+    store = SweepStore(tmp_path / "memo.jsonl")
+    outcome = run_sweep(grid, store, workers=workers, chunk_size=2)
+    assert outcome.executed == len(grid) == 12
+    stored = store.load()
+    for spec in grid.specs():
+        assert stored[spec.key] == run_trial(spec)
+
+
 def test_chunk_size_does_not_change_the_store(tmp_path):
     coarse = SweepStore(tmp_path / "coarse.jsonl")
     fine = SweepStore(tmp_path / "fine.jsonl")
@@ -386,6 +403,36 @@ def test_summarize_reduces_mean_and_p95():
     assert entry["max_rel_error"] == pytest.approx(0.4)
     assert entry["layers"]["conv"] == pytest.approx(0.125)
     assert "2.500e-01" in format_summary([entry])
+
+
+def test_summary_keeps_compute_dtypes_apart():
+    """A two-dtype sweep summarises each (noise scale, dtype) as its own
+    cell; rows stored before the dtype field existed count as float64."""
+    rows = []
+    for dtype, errors in (("float64", (0.1, 0.2)), ("float32", (0.5, 0.7))):
+        for trial, err in enumerate(errors):
+            rows.append(
+                {
+                    "model": "m",
+                    "cell_bits": 4,
+                    "compute_dtype": dtype,
+                    "noise_scale": 1.0,
+                    "trial": trial,
+                    "rel_error": err,
+                    "layers": {"conv": err},
+                }
+            )
+    legacy = {key: value for key, value in rows[0].items() if key != "compute_dtype"}
+    summary = summarize(rows + [{**legacy, "rel_error": 0.3}])
+    assert [(e["compute_dtype"], e["trials"]) for e in summary] == [
+        ("float32", 2),
+        ("float64", 3),
+    ]
+    assert summary[0]["mean_rel_error"] == pytest.approx(0.6)
+    assert summary[1]["mean_rel_error"] == pytest.approx(0.2)
+    table = format_summary(summary).splitlines()
+    assert "dtype" in table[0].split()
+    assert ["float32", "float64"] == [line.split()[2] for line in table[2:]]
 
 
 # ---------------------------------------------------------------------------
