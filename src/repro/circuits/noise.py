@@ -124,6 +124,18 @@ class NoiseBudget:
         return self.accumulated_error_ps <= self.total_margin_ps
 
 
+def _gaussian(rng: np.random.Generator, sigma: float, shape: ShapeArg) -> np.ndarray:
+    """Zero-mean Gaussian draws of standard deviation ``sigma`` from ``rng``.
+
+    One standard-normal fill, scaled in place.  Bit for bit what
+    ``rng.normal(0.0, sigma, shape)`` returns, since that computes ``0.0 +
+    sigma * z`` from the same ``z`` sequence, without its per-draw add.
+    """
+    draws = rng.standard_normal(size=shape)
+    draws *= sigma
+    return draws
+
+
 def _conductance_variation(
     sampler: Callable[[float, Tuple[int, ...]], np.ndarray],
     sigma: float,
@@ -266,7 +278,7 @@ class HardwareNoiseConfig:
             if self._fallback is None:
                 self._fallback = self.stream("unsalted")
             return self._fallback.sample(sigma, shape)
-        return self.derived_rng(*parts).normal(0.0, sigma, size=shape)
+        return _gaussian(self.derived_rng(*parts), sigma, shape)
 
     def apply_conductance_variation(self, conductances: np.ndarray) -> np.ndarray:
         """Multiplicative programming variation on a conductance tensor.
@@ -338,7 +350,7 @@ class NoiseStream:
         """Draw from this scope's sequence (zero sigma consumes no entropy)."""
         if sigma == 0.0:
             return np.zeros(shape) if shape is not None else np.array(0.0)
-        return self._rng.normal(0.0, sigma, size=shape)
+        return _gaussian(self._rng, sigma, shape)
 
     def apply_conductance_variation(self, conductances: np.ndarray) -> np.ndarray:
         """Scoped counterpart of

@@ -109,6 +109,25 @@ def test_zero_sigma_is_deterministically_zero():
     np.testing.assert_array_equal(stream.sample(0.1, (4,)), first)
 
 
+@pytest.mark.parametrize("shape", [None, 7, (3, 5), (2, 3, 4)])
+@pytest.mark.parametrize("sigma", [5e-13, 0.01, 1.0, 2.5])
+def test_draws_equal_generator_normal_bit_for_bit(shape, sigma):
+    """A scoped stream's draws and a salted config draw are bit for bit
+    ``Generator.normal(0.0, sigma, size)`` from the same derived generator:
+    a draw's bits depend on the seed, the salt, the shape and the sigma,
+    never on how the kernel computes it."""
+    cfg = HardwareNoiseConfig(seed=21)
+    expected = cfg.derived_rng("site", 4).normal(0.0, sigma, size=shape)
+    salted = cfg.sample(sigma, shape, salt=("site", 4))
+    assert type(salted) is type(expected)
+    assert np.asarray(salted).tobytes() == np.asarray(expected).tobytes()
+    stream, rng = cfg.stream("site", 4), cfg.derived_rng("site", 4)
+    for _ in range(3):  # successive stream draws replay the generator's sequence
+        drawn, replayed = stream.sample(sigma, shape), rng.normal(0.0, sigma, size=shape)
+        assert np.shape(drawn) == np.shape(replayed)
+        assert np.asarray(drawn).tobytes() == np.asarray(replayed).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------
