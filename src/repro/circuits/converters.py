@@ -174,12 +174,3 @@ class ADC:
             return int(codes)
         return codes
 
-
-def roundtrip_error_lsb(dtc: DTC, tdc: TDC, codes: np.ndarray) -> np.ndarray:
-    """Digital-to-time-to-digital round-trip error in LSBs (ideal circuits).
-
-    Used by tests to demonstrate that the time-domain interface is lossless
-    for matched resolutions, which is what lets TIMELY interface crossbars
-    without accuracy loss.
-    """
-    return np.abs(tdc.convert(dtc.convert(codes)) - np.clip(codes, 0, dtc.levels - 1))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -143,16 +143,27 @@ def _conductance_variation(
 ) -> np.ndarray:
     """Shared ``G * (1 + eps)`` programming-variation kernel, clipped at zero.
 
-    The draw itself always happens in float64 (so the realisation is
-    bit-identical regardless of the storage precision), then the product is
-    cast back to the input's dtype — a float32 conductance tensor stays
+    One draw per cell, filled over a flat view of the tensor in its own
+    memory order (Fortran order for a Fortran-ordered tensor, C order
+    otherwise), then scaled and multiplied in place in the draw buffer, so
+    the multiply walks both operands sequentially.  The result is a fresh
+    array in the input's shape, layout and dtype; the input is only read.
+    The draws and products are float64 (so the realisation is
+    bit-identical regardless of the storage precision) and cast back to
+    the input's dtype at the end — a float32 conductance tensor stays
     float32 instead of silently doubling under the noise multiply.
     """
     if sigma <= 0:
         return conductances
-    variation = sampler(sigma, conductances.shape)
-    noisy = (conductances * (1.0 + variation)).astype(conductances.dtype, copy=False)
-    return np.clip(noisy, 0.0, None, out=noisy)
+    order: Literal["C", "F"] = "F" if np.isfortran(conductances) else "C"
+    flat = conductances.reshape(-1, order=order)  # a view unless strided
+    noisy = sampler(sigma, flat.shape)
+    noisy += 1.0
+    noisy *= flat
+    np.clip(noisy, 0.0, None, out=noisy)
+    return noisy.astype(conductances.dtype, copy=False).reshape(
+        conductances.shape, order=order
+    )
 
 
 @dataclass

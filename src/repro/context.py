@@ -180,7 +180,10 @@ COMPUTE_DTYPES = ("float64", "float32")
 #: rows carry it, so a resumed store recomputes rows produced under older
 #: rounding instead of mixing them in.  Version 2: noiseless analog layers
 #: read out through exact integer level products (``repro.engine.packed``).
-NUMERICS_VERSION = 2
+#: Version 3: a conv layer's DTC jitter is drawn once per input element
+#: and gathered per window (padded taps carry no jitter), and programming
+#: variation is drawn in each conductance tensor's memory order.
+NUMERICS_VERSION = 3
 
 
 def accelerator_factories() -> Dict[str, Callable[[ArchSpec], "AcceleratorSpec"]]:

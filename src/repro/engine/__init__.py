@@ -32,7 +32,6 @@ from repro.engine.executor import (
     compute_reference_outputs,
     program,
     relative_error,
-    run_network,
 )
 from repro.engine.packed import PackedMatmul
 from repro.engine.params import LayerParams, NetworkParams
@@ -60,7 +59,6 @@ __all__ = [
     "ProgrammedStateCache",
     "program",
     "compute_reference_outputs",
-    "run_network",
     "relative_error",
     "state_key",
     "LayerParams",

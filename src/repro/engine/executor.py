@@ -392,9 +392,9 @@ class _MappedComputeLayer:
     def gemm_dtype(self) -> str:
         return str(self._packed.gemm_dtype)
 
-    def _matmul(self, codes: np.ndarray) -> np.ndarray:
+    def _matmul(self, codes: np.ndarray, delays: Optional[np.ndarray] = None) -> np.ndarray:
         # codes were produced by quantize_unsigned_batch: already in range
-        return self._packed.matmul(codes, validate=False)
+        return self._packed.matmul(codes, validate=False, delays=delays)
 
     def forward(self, acts: np.ndarray, input_bits: int) -> np.ndarray:
         """Quantise a batch, run it through the tiles, dequantise the result.
@@ -426,11 +426,25 @@ class _MappedComputeLayer:
         # used to produce.  Routed through the kernel dispatch layer
         # (compiled gather when available, the numpy strided copy
         # otherwise — same bytes and layout either way).
+        packed = self._packed
         cols, out_h, out_w = im2col_pack(
-            values, self.kernel, self.stride, self.pad, dtype=self._packed.code_dtype
+            values, self.kernel, self.stride, self.pad, dtype=packed.code_dtype
         )
         positions = out_h * out_w
-        out = self._matmul(cols)
+        delays = None
+        if packed.dtc_jitter:
+            # O2IR: each input element is DTC-converted once, and the same
+            # gather forwards its delay to every window that reads it; a
+            # padded tap is no conversion and carries delay 0.  The codes
+            # still feed the digital offset sums.
+            delays, _, _ = im2col_pack(
+                packed.convert_inputs(values),
+                self.kernel,
+                self.stride,
+                self.pad,
+                dtype=packed.compute_dtype,
+            )
+        out = self._matmul(cols, delays)
         out = out.reshape(n, positions, self.out_channels)
         np.multiply(out, self.w_scales[None, None, :] * in_scales[:, None, None], out=out)
         if self.bias is not None:
@@ -751,13 +765,3 @@ class NetworkExecutor:
             remapped_rows=total_remapped,
         )
 
-
-def run_network(
-    network: Network,
-    ctx: Optional[SimContext] = None,
-    x: Optional[np.ndarray] = None,
-    mode: str = "analog",
-    validate: bool = True,
-) -> ExecutionResult:
-    """One-shot convenience wrapper around :class:`NetworkExecutor`."""
-    return NetworkExecutor(network, ctx, mode).run(x, validate=validate)

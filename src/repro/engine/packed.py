@@ -459,6 +459,26 @@ class PackedMatmul:
         return self._tensors[0].dtype
 
     @property
+    def dtc_jitter(self) -> bool:
+        """Whether this layer's DTCs jitter: a conductance-path layer whose
+        context draws DTC noise (``dtc_sigma > 0``)."""
+        noise = self._read_noise
+        return self._conductances is not None and noise is not None and noise.dtc_sigma > 0
+
+    def convert_inputs(self, codes: np.ndarray) -> np.ndarray:
+        """DTC-convert input ``codes`` to float64 delays in seconds, one
+        jitter draw per element, from this layer's read stream.
+
+        Under O2IR (TIMELY's only-once input read) each input element is
+        converted once and its delay is then forwarded to every crossbar
+        window that reads it: a conv layer converts its ``(N, C, H, W)``
+        codes here and gathers the delays into the GEMM operand (see
+        :meth:`matmul`'s ``delays``).  Draws follow the codes' logical
+        (C) order, whatever their memory layout.
+        """
+        return self.spec.dtc.convert(codes, self._read_noise)
+
+    @property
     def code_dtype(self) -> np.dtype:
         """The dtype :meth:`matmul` takes its codes in without a cast.
 
@@ -470,7 +490,12 @@ class PackedMatmul:
             return np.dtype(np.float64)
         return self.gemm_dtype
 
-    def matmul(self, codes: np.ndarray, validate: bool = True) -> np.ndarray:
+    def matmul(
+        self,
+        codes: np.ndarray,
+        validate: bool = True,
+        delays: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Push input codes through the packed slices and recombine.
 
         ``codes`` is a ``(positions, n_groups * rows_needed)`` matrix of
@@ -480,6 +505,15 @@ class PackedMatmul:
         the signed dot products as ``(positions, out_cols)``.
         ``validate=False`` skips the input range and integrality scans
         for callers that already quantised the codes themselves.
+
+        ``delays`` gives a conductance-path layer its GEMM operand: the DTC
+        delays (seconds) of ``codes``, in their shape, converted once per
+        input element by :meth:`convert_inputs` and gathered per window, so
+        that an input read by several windows carries one draw and a
+        padded tap carries delay 0.  The codes then feed only the digital
+        offset correction.  Without it, a jittering layer converts its own
+        operand, one draw per entry: exactly once per input element for an
+        FC layer, whose operand is its input.
         """
         codes = np.asarray(codes)
         expected_rows = self.n_groups * self.rows_needed
@@ -515,7 +549,7 @@ class PackedMatmul:
                     grouped.astype(self._encoded.dtype, copy=False) @ self._encoded
                 ).astype(np.float64, copy=False)
             else:
-                products = self._analog_products(grouped, positions)
+                products = self._analog_products(grouped, positions, delays)
 
         # Digital offset removal: every programmed weight carries ``+offset``,
         # so each group's columns over-count by ``offset * sum(group codes)``.
@@ -609,22 +643,29 @@ class PackedMatmul:
             )
         return out
 
-    def _analog_products(self, grouped: np.ndarray, positions: int) -> np.ndarray:
+    def _analog_products(
+        self, grouped: np.ndarray, positions: int, delays: Optional[np.ndarray]
+    ) -> np.ndarray:
         """Conductance-path estimate of the grouped integer products.
 
         The full delay tensor (and any DTC jitter draw on it) is computed
         *before* the chunk walk of :meth:`_read_out`, so noisy results are
-        independent of the chunking.
+        independent of the chunking.  ``delays`` is :meth:`matmul`'s.
         """
         spec = self.spec
-        noise = self._read_noise
         dtype = self.compute_dtype
-        if noise is not None and noise.dtc_sigma > 0:
-            delays = spec.dtc.convert(grouped, noise)  # (G, P, R) seconds
-            delays = delays.astype(dtype, copy=False)
+        if delays is not None:
+            # (G, P, R), like the grouped codes
+            operand = np.ascontiguousarray(
+                np.reshape(delays, (positions, self.n_groups, self.rows_needed))
+                .transpose(1, 0, 2),
+                dtype=dtype,
+            )
+        elif self.dtc_jitter:
+            operand = self.convert_inputs(grouped).astype(dtype, copy=False)
         else:
             # jitter-free DTC on validated codes: the clip is a no-op, so
             # the conversion collapses to one scale of the whole batch
-            delays = grouped.astype(dtype)
-            delays *= dtype.type(spec.dtc.t_del_s)
-        return self._read_out(delays, self._conductances, positions, delay_sums=True)
+            operand = grouped.astype(dtype)
+            operand *= dtype.type(spec.dtc.t_del_s)
+        return self._read_out(operand, self._conductances, positions, delay_sums=True)

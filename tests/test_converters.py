@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.circuits import ADC, DAC, DTC, TDC, HardwareNoiseConfig
-from repro.circuits.converters import roundtrip_error_lsb
+
+
+def roundtrip_error_lsb(dtc: DTC, tdc: TDC, codes: np.ndarray) -> np.ndarray:
+    """Digital-to-time-to-digital round-trip error in LSBs (ideal circuits)."""
+    return np.abs(tdc.convert(dtc.convert(codes)) - np.clip(codes, 0, dtc.levels - 1))
 
 
 def test_dtc_tdc_roundtrip_is_lossless():

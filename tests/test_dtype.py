@@ -252,14 +252,27 @@ def test_chunking_does_not_change_noisy_results():
 
 
 def test_chunked_network_run_matches_unchunked():
+    """Whole networks agree chunked and unchunked, noiseless and noisy: a
+    conv layer's DTC delays are converted per input element and gathered
+    before the chunk walk, so the draws do not depend on the chunking."""
     from repro.nn.models import build_model
 
-    network = build_model("tiny_cnn")
-    ref = NetworkExecutor(network, SimContext(), mode="analog").run(validate=False)
-    chunked = NetworkExecutor(
-        network, SimContext(chunk_bytes=8192), mode="analog"
-    ).run(validate=False)
-    assert relative_error(chunked.output, ref.output) <= 1e-12
+    cases = [
+        ("tiny_cnn", None),
+        ("tiny_cnn", HardwareNoiseConfig.scaled(1.0)),
+        ("resnet_smoke", HardwareNoiseConfig.scaled(1.0)),
+    ]
+    for name, noise in cases:
+        network = build_model(name)
+        runs = [
+            NetworkExecutor(
+                network, SimContext(noise=noise, chunk_bytes=chunk_bytes), mode="analog"
+            ).run(validate=False)
+            for chunk_bytes in (None, 8192)
+        ]
+        if noise is not None:
+            assert {t.readout for t in runs[0].traces if t.readout} == {"conductances"}
+        assert relative_error(runs[1].output, runs[0].output) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------

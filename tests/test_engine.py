@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from crossbar_oracle import tiled_matmul
+from engine_helpers import grouped_conv_net, run_network
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
@@ -15,7 +16,6 @@ from repro.engine import (
     NetworkExecutor,
     NetworkParams,
     reference_forward_batch,
-    run_network,
     validate_supported,
 )
 from repro.nn import functional as F
@@ -135,6 +135,62 @@ def test_engine_noise_injection_degrades_but_does_not_explode():
     )
     assert noisy.rel_error > noiseless.rel_error
     assert noisy.rel_error < 1.0
+
+
+#: DTC jitter as the only noise source: every compute layer reads out on
+#: the conductance path, and only the DTCs draw
+DTC_ONLY = HardwareNoiseConfig(
+    x_subbuf_sigma=0.0,
+    p_subbuf_sigma=0.0,
+    i_adder_sigma=0.0,
+    comparator_sigma=0.0,
+    dtc_sigma=0.01,
+    tdc_sigma=0.0,
+    reram_conductance_sigma=0.0,
+    seed=5,
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["tiny_cnn", "cnn_1", "resnet_smoke", "squeezenet", "grouped"]
+)
+def test_dtc_draws_equal_the_priced_conversions(name, monkeypatch):
+    """The engine executes the DTC conversions the estimator prices: under
+    O2IR each input element is converted once per image, so a compute
+    layer's jittered conversions over a batch of 2 are exactly twice
+    ``timely_access_counts(...).input_conversions``."""
+    from repro.circuits.converters import DTC
+    from repro.engine.executor import _MappedComputeLayer
+    from repro.mapping import timely_access_counts
+
+    network = grouped_conv_net() if name == "grouped" else build_model(name)
+    ctx = SimContext(noise=DTC_ONLY)
+    executor = NetworkExecutor(network, ctx)
+    converted = {}
+    layer = [None]
+    convert, forward = DTC.convert, _MappedComputeLayer.forward
+
+    def counting_convert(self, code, noise=None):
+        converted[layer[0]] = converted.get(layer[0], 0) + np.size(code)
+        return convert(self, code, noise)
+
+    def tagged_forward(self, acts, input_bits):
+        layer[0] = self.name
+        try:
+            return forward(self, acts, input_bits)
+        finally:
+            layer[0] = None
+
+    monkeypatch.setattr(DTC, "convert", counting_convert)
+    monkeypatch.setattr(_MappedComputeLayer, "forward", tagged_forward)
+    result = executor.run(executor.random_batch(2), validate=False)
+    assert {t.readout for t in result.traces if t.readout} == {"conductances"}
+    mapping = ctx.map_network(network).by_name()
+    priced = {
+        inst.name: 2 * timely_access_counts(mapping[inst.name], ctx.arch).input_conversions
+        for inst in network.compute_instances
+    }
+    assert converted == priced
 
 
 def test_engine_executes_branching_networks():

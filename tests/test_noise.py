@@ -128,6 +128,31 @@ def test_draws_equal_generator_normal_bit_for_bit(shape, sigma):
         assert np.asarray(drawn).tobytes() == np.asarray(replayed).tobytes()
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_variation_follows_memory_order(order, dtype):
+    """Programming variation draws one Gaussian per cell over the tensor's
+    flat memory-order view and returns ``c * (1 + sigma * z)`` in the
+    input's layout and dtype, leaving the input as it was."""
+    sigma = 0.25
+    cfg = HardwareNoiseConfig(seed=4, reram_conductance_sigma=sigma)
+    rng = np.random.default_rng(stable_seed(4, "conductances"))
+    conductances = np.asarray(
+        rng.uniform(1e-6, 1e-4, size=(2, 5, 3)), dtype=dtype, order=order
+    )
+    before = conductances.copy(order="K")
+    noisy = cfg.stream("cells").apply_conductance_variation(conductances)
+    assert noisy.dtype == dtype
+    assert noisy.flags.f_contiguous == (order == "F")
+    assert noisy.flags.c_contiguous == (order == "C")
+    z = cfg.derived_rng("cells").standard_normal(conductances.size)
+    flat = conductances.reshape(-1, order=order).astype(np.float64)
+    expected = np.clip(flat * (1.0 + sigma * z), 0.0, None).astype(dtype)
+    assert noisy.reshape(-1, order=order).tobytes() == expected.tobytes()
+    assert conductances.tobytes(order="A") == before.tobytes(order="A")
+    assert conductances.flags[f"{order}_CONTIGUOUS"]
+
+
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------

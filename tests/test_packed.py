@@ -9,6 +9,7 @@ import copy
 import numpy as np
 import pytest
 from crossbar_oracle import tiled_matmul
+from engine_helpers import grouped_conv_net, run_network
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
@@ -20,27 +21,14 @@ from repro.engine import (
     program,
     reference_forward_batch,
     relative_error,
-    run_network,
 )
 from repro.engine.packed import level_conductances, pack_weights
 from repro.faults import FaultModel
 from repro.nn import functional as F
-from repro.nn.layers import TensorShape
 from repro.nn.models import build_model
-from repro.nn.network import NetworkBuilder
 from repro.nn.quantization import quantize_unsigned, quantize_unsigned_batch
 
 RNG = np.random.default_rng(31)
-
-
-def _grouped_conv_net() -> "NetworkBuilder":
-    """A small net with a grouped conv (2 groups) and partial edge tiles."""
-    builder = NetworkBuilder("grouped", TensorShape(4, 10, 10))
-    builder.conv(8, 3, padding=1, name="conv1").relu()
-    builder.conv(12, 3, padding=1, groups=2, name="conv2").relu()
-    builder.pool(2, name="pool")
-    builder.fc(7, name="fc")
-    return builder.build()
 
 
 def _oracle_run(network, ctx, mode, x):
@@ -57,7 +45,10 @@ def _oracle_run(network, ctx, mode, x):
     mapped = ctx.map_network(network).by_name()
     for layer in ideal.layers:
 
-        def oracle(codes, q=layer.encoded.astype(np.int64) - offset, name=layer.name):
+        def oracle(
+            codes, delays=None, q=layer.encoded.astype(np.int64) - offset, name=layer.name
+        ):
+            # noiseless runs only: ``delays`` is never set
             out, crossbars = tiled_matmul(q, codes, ctx.arch, mode)
             assert crossbars == mapped[name].crossbars
             return out
@@ -235,7 +226,7 @@ def test_readout_path_follows_the_noise_and_fault_configuration(ctx, path):
 def test_noiseless_float32_run_equals_the_float64_run():
     """The exact-level GEMM does not depend on the compute dtype, so a
     noiseless float32 network run is bit-identical to the float64 one."""
-    network = _grouped_conv_net()
+    network = grouped_conv_net()
     x = NetworkExecutor(network, SimContext()).random_batch(2)
     runs = [
         NetworkExecutor(network, SimContext(compute_dtype=dtype)).run(x)
@@ -280,7 +271,7 @@ def test_cnn1_packed_run_matches_tiled_run_noiseless(mode):
 
 def test_grouped_conv_network_matches_across_backends():
     """The grouped-conv net agrees with the oracle-driven run."""
-    network = _grouped_conv_net()
+    network = grouped_conv_net()
     ctx = SimContext(seed=2)
     x = NetworkExecutor(network, ctx).random_input()
     packed = NetworkExecutor(network, ctx).run(x)
@@ -296,7 +287,7 @@ def test_batched_run_equals_stacked_single_runs():
     bit-for-bit equal; the analog mode agrees to float tolerance (BLAS may
     re-block the larger batched matmul, reordering float accumulation).
     """
-    network = _grouped_conv_net()
+    network = grouped_conv_net()
     ctx = SimContext()
     exact = NetworkExecutor(network, ctx, mode="ideal")
     batch = exact.random_batch(3)
@@ -365,6 +356,66 @@ def test_packed_noise_is_reproducible_and_bounded():
     assert a.rel_error < 1.0
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_dtc_jitter_is_drawn_once_per_input_element(stride, monkeypatch):
+    """O2IR: a conv layer converts each input element once and forwards
+    the delay to every window that reads it.  In the delay operand that
+    reaches the read-out, all entries gathered from one input element hold
+    one value, padded taps hold exactly 0.0, and the values are the layer's
+    read stream's ``DTC.convert`` of its ``(N, C, H, W)`` codes."""
+    from repro.engine.executor import _MappedComputeLayer
+    from repro.nn.layers import TensorShape
+    from repro.nn.network import NetworkBuilder
+
+    builder = NetworkBuilder("o2ir", TensorShape(3, 9, 9))
+    builder.conv(4, 3, stride=stride, padding=1, name="conv").relu()
+    network = builder.build()
+    noise = HardwareNoiseConfig(
+        x_subbuf_sigma=0.0,
+        p_subbuf_sigma=0.0,
+        i_adder_sigma=0.0,
+        comparator_sigma=0.0,
+        dtc_sigma=0.3,
+        tdc_sigma=0.0,
+        reram_conductance_sigma=0.0,
+        seed=9,
+    )
+    ctx = SimContext(noise=noise)
+    executor = NetworkExecutor(network, ctx)
+    seen = {}
+    forward, read_out = _MappedComputeLayer.forward, PackedMatmul._read_out
+
+    def recording_forward(self, acts, input_bits):
+        seen["acts"] = acts
+        return forward(self, acts, input_bits)
+
+    def recording_read_out(self, operand, tensors, positions, delay_sums=False):
+        seen["operand"] = operand.copy()
+        return read_out(self, operand, tensors, positions, delay_sums)
+
+    monkeypatch.setattr(_MappedComputeLayer, "forward", recording_forward)
+    monkeypatch.setattr(PackedMatmul, "_read_out", recording_read_out)
+    x = executor.random_batch(2)
+    executor.run(x, validate=False)
+
+    (operand,) = seen["operand"]  # one group: (positions, C * 3 * 3)
+    codes, _ = quantize_unsigned_batch(seen["acts"], ctx.arch.input_bits)
+    # which input element each operand entry was gathered from (0: padding)
+    index = np.arange(1, codes.size + 1, dtype=float).reshape(codes.shape)
+    gathered, _, _ = F.im2col_batch(index, 3, stride, 1)
+    gathered = gathered.reshape(operand.shape).astype(np.int64)
+    padded = gathered == 0
+    assert padded.any() and not padded.all()
+    by_element = np.full(codes.size + 1, np.nan)
+    by_element[gathered] = operand  # any one entry per element
+    np.testing.assert_array_equal(operand, by_element[gathered])
+    assert np.all(operand[padded] == 0.0)
+    replay = noise.stream("packed", network.compute_instances[0].index, "read")
+    expected = ctx.arch.dtc().convert(codes, replay).ravel()
+    used = np.unique(gathered[~padded])
+    assert by_element[used].tobytes() == expected[used - 1].tobytes()
+
+
 def test_packed_executor_crossbars_match_mapping():
     """Including the awkward cell_bits=3 split (85 weights per 256-col tile)."""
     network = build_model("cnn_1")
@@ -409,7 +460,7 @@ def test_float_reference_runs_without_the_engine_kernels(monkeypatch):
         monkeypatch.setattr(module, "im2col_pack", refuse)
     for module in (dispatch, packed_module, c_impl, numpy_impl):
         monkeypatch.setattr(module, "readout_fused", refuse)
-    for network in (build_model("resnet_smoke"), _grouped_conv_net()):
+    for network in (build_model("resnet_smoke"), grouped_conv_net()):
         shape = network.input_shape
         size = (2, shape.channels, shape.height, shape.width)
         x = np.random.default_rng(0).uniform(0.0, 1.0, size=size)
