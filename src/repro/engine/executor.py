@@ -209,7 +209,10 @@ def program_layer(
     # Per-output-channel scales: every output channel owns its crossbar
     # column(s), and the TDC read-out is dequantised digitally, so each
     # channel can use the full integer range.
-    quant = quantize_symmetric_per_channel(p.weights, arch.weight_bits)
+    try:
+        quant = quantize_symmetric_per_channel(p.weights, arch.weight_bits)
+    except ValueError as exc:  # a NaN or inf weight
+        raise EngineError(f"layer {inst.name!r}: {exc}") from exc
     if isinstance(layer, Conv2D):
         kind = "conv"
         stride, pad, kernel = layer.stride, conv_padding(layer), layer.kernel_h

@@ -1,7 +1,8 @@
-"""Runtime-dispatched hot-loop kernels (read-out chain, im2col).
+"""Runtime-dispatched hot-loop kernels (read-out chain, im2col, quantiser).
 
 Public surface: :mod:`repro.kernels.dispatch` — every consumer goes
-through its entry points (``readout_fused``, ``im2col_pack``) and tier
+through its entry points (``readout_fused``, ``im2col_pack``,
+``quantize_channels``) and tier
 resolution (``resolve`` / ``available``).  The
 implementation modules (``numpy_impl``, ``c_impl``) are internal; the ``kernel-dispatch`` rule in ``repro.analysis`` flags any
 direct import of them from outside this package.
@@ -16,6 +17,7 @@ from repro.kernels.dispatch import (  # noqa: F401
     available,
     default_kernel,
     im2col_pack,
+    quantize_channels,
     readout_fused,
     resolve,
     unavailable_reasons,

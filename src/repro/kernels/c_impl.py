@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.dispatch import ReadoutScalars
 
 #: must match repro_kernels_abi_version() in readout.c
-ABI_VERSION = 4
+ABI_VERSION = 5
 #: flags the bit-for-bit contract depends on (see module docstring)
 CFLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -161,6 +161,9 @@ def _bind(path: Path) -> ctypes.CDLL:
     for src in ("f64", "f32"):
         for dst in ("f64", "f32"):
             signatures.append((f"im2col_{src}_{dst}", im2col, _i32))
+    quantize = [_void_p, _i64, _i64, _i64, _void_p, _void_p]
+    for suffix in _QUANTIZE_SUFFIX.values():
+        signatures.append((f"quantize_channels_{suffix}", quantize, _i64))
     for name, argtypes, restype in signatures:
         fn = getattr(lib, name)
         fn.restype = restype
@@ -183,6 +186,8 @@ def load() -> ctypes.CDLL:
 _SUPPORTED = (np.dtype(np.float64), np.dtype(np.float32))
 #: dtype -> the suffix of the compiled variant serving it
 _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
+#: quantiser value dtype -> the suffix of the compiled variant serving it
+_QUANTIZE_SUFFIX = {np.dtype(np.int8): "i8", np.dtype(np.int16): "i16"}
 
 
 def _element_strides(a: np.ndarray) -> List[int]:
@@ -342,3 +347,26 @@ def im2col_pack(
     ):
         raise MemoryError("im2col offset table allocation failed")
     return cols, out_h, out_w
+
+
+def quantize_channels(channels: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    qmax = 2 ** (bits - 1) - 1
+    dtype = np.min_scalar_type(-qmax)
+    if (
+        not isinstance(channels, np.ndarray)
+        or channels.ndim != 2
+        or channels.dtype != np.float64
+        or not channels.flags.c_contiguous
+        or dtype not in _QUANTIZE_SUFFIX
+    ):
+        return numpy_impl.quantize_channels(channels, bits)
+    lib = load()
+    n, width = channels.shape
+    values = np.empty((n, width), dtype=dtype)
+    scales = np.empty(n)
+    bad = getattr(lib, f"quantize_channels_{_QUANTIZE_SUFFIX[dtype]}")(
+        channels.ctypes.data, n, width, qmax, values.ctypes.data, scales.ctypes.data
+    )
+    if bad:
+        raise ValueError(numpy_impl.non_finite_message(bad - 1))
+    return values, scales

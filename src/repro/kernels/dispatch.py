@@ -1,7 +1,8 @@
 """Runtime kernel dispatch: one entry point per hot loop, tiered backends.
 
-The engine's hot loops — the fused time-domain read-out chain and the
-im2col gather — are reachable only through this module.  An ordered registry of
+The engine's hot loops — the fused time-domain read-out chain, the
+im2col gather and the per-channel weight quantiser — are reachable only
+through this module.  An ordered registry of
 implementation tiers backs each entry point:
 
 ``c``
@@ -224,3 +225,20 @@ def im2col_pack(
     return resolve(kernel)[1].im2col_pack(
         x, kernel_size, stride=stride, pad=pad, dtype=dtype
     )
+
+
+def quantize_channels(
+    channels: np.ndarray, bits: int, kernel: Optional[str] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetric ``bits``-bit quantisation of each row of a 2-D float64 matrix.
+
+    Returns ``(values, scales)``: ``values`` the ``(n, width)`` integer
+    codes ``clip(rint(x / scale), -qmax, qmax)`` in the narrowest signed
+    dtype holding ``qmax = 2**(bits-1) - 1`` (int8 up to 8 bits), and
+    ``scales`` the ``(n,)`` float64 ``max |x| / qmax`` of each row (1.0
+    where that is not positive).  A row holding NaN or inf raises
+    :class:`ValueError`.
+    """
+    if bits < 2:
+        raise ValueError("symmetric quantisation needs at least 2 bits")
+    return resolve(kernel)[1].quantize_channels(channels, bits)

@@ -2,9 +2,11 @@
 
 The read-out chain here is the code that used to live inline in
 :meth:`repro.circuits.timing.TimeDomainChainSpec.read_out` and
-:meth:`repro.engine.packed.PackedMatmul._analog_products`, extracted
-verbatim; the level variant and the im2col gather define their compiled
-counterparts.  The compiled ``c`` tier is
+:meth:`repro.engine.packed.PackedMatmul._analog_products`, and the
+per-channel quantiser the loop that used to live in
+:func:`repro.nn.quantization.quantize_symmetric_per_channel`, both
+extracted verbatim; the level variant and the im2col gather define their
+compiled counterparts.  The compiled ``c`` tier is
 tested bit-for-bit against these functions in float64 — when in doubt,
 this file defines what "correct" means.
 
@@ -106,3 +108,45 @@ def im2col_pack(
     )
     np.copyto(cols, windows.transpose(0, 2, 3, 1, 4, 5), casting="same_kind")
     return cols.reshape(n * out_h * out_w, channels * kernel * kernel), out_h, out_w
+
+
+#: float64 elements per block of the per-channel quantiser (512 KB: a
+#: block of channels stays in cache from its max scan to its rounding)
+_QUANTIZE_BLOCK = 1 << 16
+
+
+def non_finite_message(channel: int) -> str:
+    """The error every tier raises for a channel holding NaN or inf."""
+    return f"channel {channel} holds a non-finite weight (NaN or inf)"
+
+
+def quantize_channels(channels: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetric per-channel quantisation of a 2-D ``(n, width)`` matrix.
+
+    One pass over cache-sized blocks of channels: each block's ``max |x|``
+    gives its scales (``max / qmax``, 1.0 where that is not positive), then
+    ``rint(x / scale)`` and the clip to ``±qmax`` run in place on the
+    block, straight into the integer result — no weights-sized float
+    temporary.  Values come back in ``np.min_scalar_type(-qmax)``; a NaN
+    or inf raises :class:`ValueError` naming the first such channel.
+    """
+    qmax = 2 ** (bits - 1) - 1
+    n, width = channels.shape
+    scales = np.empty(n)
+    values = np.empty((n, width), dtype=np.min_scalar_type(-qmax))
+    rows = max(1, _QUANTIZE_BLOCK // max(1, width))
+    block = np.empty((min(rows, n), width))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        work = block[: r1 - r0]
+        max_abs = np.abs(channels[r0:r1], out=work).max(axis=1, initial=0.0)
+        finite = np.isfinite(max_abs)
+        if not finite.all():
+            raise ValueError(non_finite_message(r0 + int(np.argmin(finite))))
+        scale = np.divide(max_abs, qmax, out=scales[r0:r1])
+        scale[scale <= 0.0] = 1.0
+        np.divide(channels[r0:r1], scale[:, None], out=work)
+        np.rint(work, out=work)
+        np.clip(work, -qmax, qmax, out=work)
+        values[r0:r1] = work  # exact: integers within the dtype's range
+    return values, scales

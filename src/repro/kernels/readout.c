@@ -1,6 +1,6 @@
 /*
- * Compiled hot-path kernels: the time-domain read-out chain and the im2col
- * gather.
+ * Compiled hot-path kernels: the time-domain read-out chain, the im2col
+ * gather and the per-channel weight quantiser.
  *
  * Bit-for-bit contract: every routine here must reproduce the numpy
  * reference in `repro.kernels.numpy_impl` exactly, element by element, in
@@ -41,6 +41,8 @@
  * state.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -52,7 +54,7 @@
 
 /* Bumped whenever a signature changes; the loader refuses mismatches so a
  * stale cached .so can never be called with the wrong ABI. */
-API int64_t repro_kernels_abi_version(void) { return 4; }
+API int64_t repro_kernels_abi_version(void) { return 5; }
 
 static void zero_rec_out(double *rec_out, int64_t n_groups, int64_t n_pos,
                          int64_t n_cols, int64_t rec_sg, int64_t rec_sp,
@@ -235,3 +237,75 @@ DEFINE_IM2COL(im2col_f64_f64, double, double)
 DEFINE_IM2COL(im2col_f64_f32, double, float)
 DEFINE_IM2COL(im2col_f32_f64, float, double)
 DEFINE_IM2COL(im2col_f32_f32, float, float)
+
+/* max |x| over one channel into *peak; returns 0 when a NaN or inf is
+ * present.  PEAK_LANES independent maxima let the compiler vectorise the
+ * scan (a max is exact, so the lane order cannot change the result); each
+ * lane also sums a - a, which turns NaN once any |x| is NaN or inf. */
+#define PEAK_LANES 8
+
+static int channel_peak(const double *x, int64_t width, double *peak)
+{
+    double lane_max[PEAK_LANES] = {0.0}, lane_probe[PEAK_LANES] = {0.0};
+    double best = 0.0, probe = 0.0;
+    int64_t i = 0, k;
+    for (; i + PEAK_LANES <= width; i += PEAK_LANES)
+        for (k = 0; k < PEAK_LANES; ++k) {
+            double a = fabs(x[i + k]);
+            lane_max[k] = a > lane_max[k] ? a : lane_max[k];
+            lane_probe[k] += a - a;
+        }
+    for (; i < width; ++i) {
+        double a = fabs(x[i]);
+        best = a > best ? a : best;
+        probe += a - a;
+    }
+    for (k = 0; k < PEAK_LANES; ++k) {
+        best = lane_max[k] > best ? lane_max[k] : best;
+        probe += lane_probe[k];
+    }
+    *peak = best;
+    return probe == probe;
+}
+
+/* Symmetric per-channel weight quantiser: channels (n, width) float64,
+ * C-contiguous -> values (n, width) of INT, C-contiguous, and scales (n,).
+ * One pass per channel, op for op the numpy tier's blocked loop:
+ *   peak  = max |x|                    (a NaN or inf stops the call: it
+ *                                       returns the channel index + 1)
+ *   scale = peak / qmax, or 1.0 where that is not positive
+ *   out   = clip(rint(x / scale), -qmax, qmax)
+ * The division is IEEE, never a reciprocal multiply.  rint rounds half to
+ * even: |v| <= qmax < 2**52 after the division, and adding then
+ * subtracting 2**52 leaves no fraction bits, so in the default rounding
+ * mode the sum rounds exactly as np.rint does; it needs no ISA flag, and
+ * without -ffast-math the compiler may not fold it away.  fabs and
+ * copysign compile to bit masks (no libm call, no sign branch).
+ * Returns 0 on success. */
+#define ROUND_MAGIC 4503599627370496.0 /* 2**52 */
+
+#define DEFINE_QUANTIZE(NAME, INT)                                             \
+API int64_t NAME(const double *channels, int64_t n, int64_t width,            \
+                 int64_t qmax, INT *values, double *scales)                    \
+{                                                                              \
+    double limit = (double)qmax;                                               \
+    int64_t r, i;                                                              \
+    for (r = 0; r < n; ++r) {                                                  \
+        const double *x = channels + r * width;                                \
+        INT *out = values + r * width;                                         \
+        double scale;                                                          \
+        if (!channel_peak(x, width, &scale)) return r + 1;                     \
+        scale /= limit;                                                        \
+        if (!(scale > 0.0)) scale = 1.0;                                       \
+        scales[r] = scale;                                                     \
+        for (i = 0; i < width; ++i) {                                          \
+            double v = x[i] / scale;                                           \
+            double m = (fabs(v) + ROUND_MAGIC) - ROUND_MAGIC;                  \
+            out[i] = (INT)copysign(m < limit ? m : limit, v);                  \
+        }                                                                      \
+    }                                                                          \
+    return 0;                                                                  \
+}
+
+DEFINE_QUANTIZE(quantize_channels_i8, int8_t)
+DEFINE_QUANTIZE(quantize_channels_i16, int16_t)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.dispatch import quantize_channels
+
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -114,43 +116,24 @@ class ChannelQuantizedTensor:
         return 2 ** self.bits
 
 
-#: float64 elements per block of the per-channel quantiser (512 KB: a
-#: block of channels stays in cache from its max scan to its rounding)
-_QUANTIZE_BLOCK = 1 << 16
-
-
 def quantize_symmetric_per_channel(x: np.ndarray, bits: int) -> ChannelQuantizedTensor:
     """Symmetric signed quantisation with one scale per leading-axis slice.
 
-    The values come back in the narrowest signed integer dtype that holds
-    ``±(2**(bits-1) - 1)`` (int8 up to 8-bit weights).  One pass over
-    cache-sized blocks of channels: each block's ``max |x|`` scales, then
-    ``rint(x / scale)`` and the clip in place on the block, straight into
-    the integer result — no weights-sized float temporary.
+    The values come back in ``x``'s shape, in the narrowest signed integer
+    dtype that holds ``±(2**(bits-1) - 1)`` (int8 up to 8-bit weights).
+    The work is :func:`repro.kernels.dispatch.quantize_channels` on the
+    ``(channels, elements)`` view, compiled when the C tier is available;
+    a NaN or inf weight raises :class:`ValueError`.
     """
-    if bits < 2:
-        raise ValueError("symmetric quantisation needs at least 2 bits")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
         raise ValueError("per-channel quantisation needs at least one axis")
-    qmax = 2 ** (bits - 1) - 1
-    channels = x.reshape(x.shape[0], math.prod(x.shape[1:]))
-    n, width = channels.shape
-    scales = np.ones(n)
-    values = np.empty(x.shape, dtype=np.min_scalar_type(-qmax))
-    out = values.reshape(n, width)
-    rows = max(1, _QUANTIZE_BLOCK // max(1, width))
-    block = np.empty((min(rows, n), width))
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        work = block[: r1 - r0]
-        max_abs = np.abs(channels[r0:r1], out=work).max(axis=1, initial=0.0)
-        np.divide(max_abs, qmax, out=scales[r0:r1], where=max_abs > 0)
-        np.divide(channels[r0:r1], scales[r0:r1, None], out=work)
-        np.rint(work, out=work)
-        np.clip(work, -qmax, qmax, out=work)
-        out[r0:r1] = work  # exact: integers within the dtype's range
-    return ChannelQuantizedTensor(values=values, scales=scales, bits=bits)
+    values, scales = quantize_channels(
+        x.reshape(x.shape[0], math.prod(x.shape[1:])), bits
+    )
+    return ChannelQuantizedTensor(
+        values=values.reshape(x.shape), scales=scales, bits=bits
+    )
 
 
 def quantization_error(x: np.ndarray, bits: int, signed: bool = True) -> float:

@@ -25,6 +25,7 @@ from repro.kernels.dispatch import (
     ReadoutScalars,
     available,
     im2col_pack,
+    quantize_channels,
     readout_fused,
     resolve,
 )
@@ -338,6 +339,65 @@ def test_im2col_empty_output_raises_on_every_tier(tier):
     x = np.zeros((1, 1, 2, 2))
     with pytest.raises(ValueError, match="empty output"):
         im2col_pack(x, 5, stride=1, pad=0, kernel=tier)
+
+
+# -- the per-channel quantiser -----------------------------------------------
+
+
+def _quantizer_cases():
+    """``(label, matrix)`` inputs of the quantiser equivalence matrix."""
+    rng = np.random.default_rng(stable_seed("kernels", "quantize"))
+    for shape in [(5,), (3, 7), (64, 3, 3, 3), (300, 512), (3, 70000), (0, 4), (4, 0)]:
+        x = rng.normal(size=shape) * 3.0
+        if x.size:
+            x[0] = 0.0
+        yield f"shape {shape}", x.reshape(shape[0], int(np.prod(shape[1:])))
+    # widths around the compiled kernel's 8-lane scan and 16-wide rounding
+    for width in (1, 2, 7, 9, 15, 16, 17, 33):
+        yield f"width {width}", rng.normal(size=(5, width))
+    # exact ties: a power-of-two scale divides (k + 0.5) * scale exactly;
+    # a plain one gives near-ties on both sides
+    for scale in (2.0**-3, 0.037):
+        k = np.arange(-130.0, 130.0)
+        row = np.concatenate([[127 * scale], (k + 0.5) * scale])
+        yield f"ties at scale {scale}", np.stack([row, -row])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    yield "signed zeros and subnormals", np.array(
+        [
+            [0.0, -0.0, 0.0, -0.0],
+            [tiny, -tiny, 0.0, -0.0],
+            [1e-310, -3e-311, tiny, -0.0],
+            [1e-310, 1.0, -1e-320, 2.5e-308],
+        ]
+    )
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("bits", [2, 8, 9, 16])
+def test_quantize_channels_matches_numpy(tier, bits):
+    """Every tier returns the numpy tier's codes, dtype and scales bit for
+    bit; an F-ordered matrix takes the numpy fallback inside the call."""
+    for label, x in _quantizer_cases():
+        for view in (x, np.asfortranarray(x)):
+            ref_values, ref_scales = quantize_channels(view, bits, kernel="numpy")
+            values, scales = quantize_channels(view, bits, kernel=tier)
+            assert values.dtype == ref_values.dtype == np.min_scalar_type(
+                -(2 ** (bits - 1) - 1)
+            ), label
+            assert values.shape == x.shape and values.flags.c_contiguous, label
+            np.testing.assert_array_equal(values, ref_values, err_msg=label)
+            assert scales.tobytes() == ref_scales.tobytes(), label
+
+
+def test_quantize_channels_rounds_exact_ties_to_even():
+    """The numpy tier's ``rint``: ties go to the even neighbour, and a
+    channel whose scale underflows to zero is scale 1.0, all zero codes."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([[127 * 0.25, 0.125, 0.375, -0.125, -0.375], [tiny, 0.0, 0.0, 0.0, -tiny]])
+    for tier in TIERS:
+        values, scales = quantize_channels(x, 8, kernel=tier)
+        assert values.tolist() == [[127, 0, 2, 0, -2], [0, 0, 0, 0, 0]]
+        assert scales.tolist() == [0.25, 1.0]
 
 
 # -- the spec facade ----------------------------------------------------------

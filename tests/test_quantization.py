@@ -1,8 +1,14 @@
 """Quantisation helper tests: round trips, the blocked per-channel
-quantiser against its whole-tensor reference, and the MSB/LSB split."""
+quantiser against its whole-tensor reference on every kernel tier, its
+refusal of non-finite weights, and the MSB/LSB split."""
 
 import numpy as np
 import pytest
+
+from repro.context import SimContext
+from repro.engine import EngineError, NetworkParams, program
+from repro.kernels.dispatch import available
+from repro.nn.models import build_model
 
 from repro.nn.quantization import (
     combine_msb_lsb,
@@ -67,6 +73,27 @@ def test_per_channel_quantization_matches_the_whole_tensor_reference(shape, bits
     assert quant.values.shape == x.shape
     np.testing.assert_array_equal(quant.values, values)
     np.testing.assert_array_equal(quant.scales, scales)
+
+
+@pytest.mark.parametrize("tier", available())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_per_channel_quantization_rejects_non_finite(tier, bad, monkeypatch):
+    """A NaN or inf weight raises instead of coding garbage under a scale
+    of 1.0 or inf, whichever tier quantises."""
+    monkeypatch.setenv("REPRO_KERNEL", tier)
+    x = RNG.normal(size=(4, 3, 3, 3))
+    x[2, 1, 0, 2] = bad
+    with pytest.raises(ValueError, match="channel 2 holds a non-finite weight"):
+        quantize_symmetric_per_channel(x, 8)
+
+
+def test_programming_a_non_finite_weight_names_the_layer():
+    network = build_model("cnn_1")
+    params = NetworkParams(network, 0)
+    name = network.compute_instances[1].name
+    params[name].weights.flat[5] = np.nan
+    with pytest.raises(EngineError, match=f"layer {name!r}: channel 0 holds a non-finite"):
+        program(network, SimContext(), params=params)
 
 
 def test_split_combine_roundtrip_unsigned():
