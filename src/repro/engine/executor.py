@@ -527,9 +527,11 @@ class NetworkExecutor:
         }
         self._compute: Dict[str, _MappedComputeLayer] = {}
         if not stream:
-            self._compute = {
-                ls.name: _MappedComputeLayer(ls, self.ctx, mode) for ls in state.layers
-            }
+            for position, ls in enumerate(state.layers):
+                # a memory-mapped state's CRC-32s are checked here, once per
+                # state, where the wiring cast reads every byte anyway
+                state.check_layer(position)
+                self._compute[ls.name] = _MappedComputeLayer(ls, self.ctx, mode)
 
     def _wire_layer(self, name: str) -> _MappedComputeLayer:
         """The executable layer for ``name`` — resident, or freshly streamed."""

@@ -23,11 +23,15 @@ Three design points:
   ``(model, ArchSpec, mode, seed)`` via the same
   :func:`repro.circuits.noise.stable_seed` hashing the sweep store uses, so
   equal configurations share one cache entry across processes and machines.
-* **Memory-mappability.**  :meth:`ProgrammedState.save` writes a directory
-  of plain ``.npy`` files (one per tensor) next to a ``meta.json``;
-  :meth:`ProgrammedState.load` with ``mmap=True`` memory-maps every tensor,
-  so an executor can stream a larger-than-RAM programmed network tile-group
-  by tile-group instead of materialising it.
+* **One checksummed, memory-mappable file.**  :meth:`ProgrammedState.save`
+  writes a directory holding a ``meta.json`` manifest and one payload file:
+  every tensor at a 64-byte-aligned offset in its own memory order, each
+  layer's tensors contiguous under one CRC-32.  :meth:`ProgrammedState.load`
+  with ``mmap=True`` maps the file once and views every tensor by offset,
+  so an executor can stream a larger-than-RAM programmed network layer by
+  layer instead of materialising it; the CRCs are checked where the bytes
+  are read anyway (an eager load, a streamed layer, a layer being wired),
+  so a flipped byte fails loudly instead of wiring the wrong chip.
 
 :class:`ProgrammedStateCache` layers a small in-memory LRU over an optional
 on-disk directory keyed by content: ``get_or_program`` is the one call the
@@ -38,12 +42,14 @@ through.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,11 +71,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: conductances — the manifest names ``levels`` files;
 #: 5: ideal layers store their offset-encoded weights as unsigned integers
 #: too, and the manifest and content key drop the compute dtype, which the
-#: executor picks at wiring)
-STATE_FORMAT = 5
+#: executor picks at wiring;
+#: 6: one payload file instead of one ``.npy`` file per tensor — the
+#: manifest records each tensor's offset, dtype, shape and memory order, and
+#: each layer's byte range and its CRC-32)
+STATE_FORMAT = 6
 
 #: metadata filename inside a saved state directory
 _META_NAME = "meta.json"
+#: payload filename inside a saved state directory
+_PAYLOAD_NAME = "payload.bin"
+#: byte alignment of every tensor in the payload file
+_ALIGN = 64
 
 
 def state_key(model: str, arch: ArchSpec, mode: str, seed: int) -> str:
@@ -161,51 +174,142 @@ class LayerState:
         return total + sum(levels.nbytes for levels in self.levels)
 
 
-def _check_levels(
-    names: List[str], levels: List[np.ndarray], slices: int, path: Path
-) -> None:
+def _write_layer(out: BinaryIO, offset: int, layer: LayerState) -> Tuple[Dict[str, Any], int]:
+    """Append ``layer``'s tensors to ``out``, which stands at byte ``offset``.
+
+    Returns the layer's manifest entry and the offset after it.  Each tensor
+    is written in the memory order ``np.save`` keeps (F for an F- but not
+    C-contiguous array, else C) — BLAS picks summation paths by layout, so
+    a C-order copy of the F-ordered levels would be bitwise-different
+    downstream — and padded to the next 64-byte boundary.  The layer's
+    bytes, padding included, are one range under one CRC-32.
+    """
+    start, crc = offset, 0
+
+    def put(array: Optional[np.ndarray]) -> Optional[Dict[str, Any]]:
+        nonlocal offset, crc
+        if array is None:
+            return None
+        order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+        data = np.ascontiguousarray(array.T if order == "F" else array)
+        record = {
+            "offset": offset,
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "order": order,
+        }
+        pad = bytes(-data.nbytes % _ALIGN)
+        out.write(data)
+        out.write(pad)
+        crc = zlib.crc32(pad, zlib.crc32(data, crc))
+        offset += data.nbytes + len(pad)
+        return record
+
+    entry = {
+        "name": layer.name,
+        "index": layer.index,
+        "kind": layer.kind,
+        "out_channels": layer.out_channels,
+        "n_groups": layer.n_groups,
+        "stride": layer.stride,
+        "pad": layer.pad,
+        "kernel": layer.kernel,
+        "w_scales": put(layer.w_scales),
+        "bias": put(layer.bias),
+        "encoded": put(layer.encoded),
+        "levels": [put(levels) for levels in layer.levels],
+    }
+    entry["range"] = [start, offset]
+    entry["crc32"] = crc
+    return entry, offset
+
+
+def _read_payload(path: Path, start: int, end: int, size: int, mmap: bool) -> np.ndarray:
+    """Bytes ``[start, end)`` of the payload file of the state at ``path``.
+
+    Memory-mapped read-only (a fresh mapping, no page read yet) or read into
+    memory.  A missing payload raises :class:`OSError`; one whose length is
+    not the manifest's ``size`` raises :class:`EngineError`.
+    """
+    payload = path / _PAYLOAD_NAME
+    actual = payload.stat().st_size
+    if actual != size:
+        raise EngineError(
+            f"corrupt programmed state at {payload}: the file holds {actual} "
+            f"bytes, its manifest records {size}"
+        )
+    if mmap:
+        return np.memmap(payload, dtype=np.uint8, mode="r", offset=start, shape=(end - start,))
+    with open(payload, "rb") as f:
+        f.seek(start)
+        return np.fromfile(f, dtype=np.uint8, count=end - start)
+
+
+def _check_crc(entry: Dict[str, Any], data: np.ndarray, base: int, path: Path) -> None:
+    """Refuse a layer whose bytes do not match its CRC-32.
+
+    ``data`` holds the payload from file offset ``base`` on; one
+    ``zlib.crc32`` runs over the layer's byte range.
+    """
+    start, end = entry["range"]
+    if zlib.crc32(data[start - base : end - base]) != entry["crc32"]:
+        raise EngineError(
+            f"corrupt programmed state at {path / _PAYLOAD_NAME}: layer "
+            f"{entry['name']!r} fails its CRC-32 check"
+        )
+
+
+def _check_levels(entry: Dict[str, Any], slices: int, path: Path) -> None:
     """Reject a layer's level payload that this build cannot have written.
 
-    Reads dtypes and shapes only, so memory-mapped payloads stay unread.
+    Reads the manifest only, so memory-mapped payloads stay unread.
     """
-    if len(levels) != slices:
+    name, records = entry["name"], entry["levels"]
+    if len(records) != slices:
         raise EngineError(
-            f"corrupt programmed state at {path / _META_NAME}: a layer holds "
-            f"{len(levels)} level tensors, the architecture needs {slices}"
+            f"corrupt programmed state at {path / _META_NAME}: layer {name!r} "
+            f"holds {len(records)} level tensors, the architecture needs {slices}"
         )
-    for name, array in zip(names, levels):
-        if array.dtype.kind != "u":
+    where = f"corrupt programmed state at {path / _PAYLOAD_NAME}: layer {name!r}"
+    for record in records:
+        dtype = np.dtype(record["dtype"])
+        if dtype.kind != "u":
+            raise EngineError(f"{where}: levels of dtype {dtype} are not unsigned integers")
+        if record["shape"] != records[0]["shape"]:
             raise EngineError(
-                f"corrupt programmed state at {path / name}: levels of dtype "
-                f"{array.dtype} are not unsigned integers"
-            )
-        if array.shape != levels[0].shape:
-            raise EngineError(
-                f"corrupt programmed state at {path / name}: levels of shape "
-                f"{array.shape} differ from the layer's first slice "
-                f"{levels[0].shape}"
+                f"{where}: levels of shape {tuple(record['shape'])} differ from "
+                f"the layer's first slice {tuple(records[0]['shape'])}"
             )
 
 
 def _layer_from_entry(
     entry: Dict[str, Any],
+    data: np.ndarray,
+    base: int,
     path: Path,
-    mmap_mode: Optional[str],
     arch: ArchSpec,
     mode: str,
 ) -> LayerState:
-    """One manifest ``layers`` entry of the state at ``path`` as a layer."""
+    """One manifest ``layers`` entry of the state at ``path`` as a layer.
 
-    def pull(name: Optional[str]) -> Optional[np.ndarray]:
-        if name is None:
-            return None
-        return np.load(path / name, mmap_mode=mmap_mode)
+    Every tensor is a view of ``data``, the payload bytes from file offset
+    ``base`` on, so a memory-mapped payload stays unread.
+    """
 
-    names = entry["levels"]
-    levels = [np.load(path / name, mmap_mode=mmap_mode) for name in names]
-    _check_levels(
-        names, levels, arch.cols_per_weight if mode == "analog" else 0, path
-    )
+    def view(record: Dict[str, Any]) -> np.ndarray:
+        dtype, shape = np.dtype(record["dtype"]), tuple(record["shape"])
+        start = record["offset"] - base
+        stop = start + math.prod(shape) * dtype.itemsize
+        if not 0 <= start <= stop <= data.size:
+            raise ValueError(f"a tensor of layer {entry['name']!r} lies outside the payload")
+        flat = data[start:stop].view(dtype)
+        # the F-order reshape np.load makes, so the strides match too
+        return flat.reshape(shape[::-1]).T if record["order"] == "F" else flat.reshape(shape)
+
+    def maybe(record: Optional[Dict[str, Any]]) -> Optional[np.ndarray]:
+        return None if record is None else view(record)
+
+    _check_levels(entry, arch.cols_per_weight if mode == "analog" else 0, path)
     cell = arch.cell_spec()
     return LayerState(
         name=entry["name"],
@@ -213,15 +317,15 @@ def _layer_from_entry(
         kind=entry["kind"],
         out_channels=entry["out_channels"],
         n_groups=entry["n_groups"],
-        w_scales=pull(entry["w_scales"]),
+        w_scales=view(entry["w_scales"]),
         g_min_s=cell.g_min_s,
         g_step_s=cell.g_step_s,
-        bias=pull(entry["bias"]),
+        bias=maybe(entry["bias"]),
         stride=entry["stride"],
         pad=entry["pad"],
         kernel=entry["kernel"],
-        encoded=pull(entry["encoded"]),
-        levels=levels,
+        encoded=maybe(entry["encoded"]),
+        levels=[view(record) for record in entry["levels"]],
     )
 
 
@@ -246,10 +350,19 @@ class ProgrammedState:
     #: :meth:`ProgrammedStateCache.ensure_on_disk`, and what makes
     #: :meth:`stream_layer` possible
     source_path: Optional[Path] = None
-    #: the ``layers`` entries of ``source_path``'s manifest, parsed on the
-    #: first :meth:`stream_layer` call
-    _entries: Optional[List[Dict[str, Any]]] = field(
+    #: ``source_path``'s manifest, parsed on the first :meth:`stream_layer`
+    #: call
+    _manifest: Optional[Dict[str, Any]] = field(
         default=None, init=False, repr=False, compare=False
+    )
+    #: a memory-mapped load's payload mapping, and the manifest entries (by
+    #: position) of the layers whose CRC-32 :meth:`check_layer` has not
+    #: checked yet
+    _mapped: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _unchecked: Dict[int, Dict[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
@@ -267,11 +380,12 @@ class ProgrammedState:
     def save(self, path: Union[str, Path]) -> Path:
         """Write this state to directory ``path`` (atomic via rename).
 
-        The layout is one ``.npy`` file per tensor plus a ``meta.json``
-        manifest, so :meth:`load` can memory-map individual tensors.  If
-        ``path`` already exists when the rename lands, the existing entry
-        wins — states are content-keyed, so a concurrent writer produced
-        identical bytes and the tmp copy is simply discarded.
+        The directory holds a ``meta.json`` manifest and one payload file
+        (see :func:`_write_layer` for the layout), so :meth:`load` can map
+        it once and view each tensor by offset.  If ``path`` already exists
+        when the rename lands, the existing entry wins — states are
+        content-keyed, so a concurrent writer produced identical bytes and
+        the tmp copy is simply discarded.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -279,41 +393,12 @@ class ProgrammedState:
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
-
-        def dump(prefix: str, array: Optional[np.ndarray]) -> Optional[str]:
-            if array is None:
-                return None
-            name = f"{prefix}.npy"
-            # np.save records Fortran order natively; preserving the packed
-            # payloads' exact memory layout matters because BLAS picks
-            # summation paths by layout — the levels decode in their own
-            # order, and a C-order copy of the F-ordered tensors would be
-            # bitwise-different downstream
-            np.save(tmp / name, array)
-            return name
-
         layers_meta = []
-        for i, layer in enumerate(self.layers):
-            prefix = f"L{i:03d}"
-            layers_meta.append(
-                {
-                    "name": layer.name,
-                    "index": layer.index,
-                    "kind": layer.kind,
-                    "out_channels": layer.out_channels,
-                    "n_groups": layer.n_groups,
-                    "stride": layer.stride,
-                    "pad": layer.pad,
-                    "kernel": layer.kernel,
-                    "w_scales": dump(f"{prefix}_w_scales", layer.w_scales),
-                    "bias": dump(f"{prefix}_bias", layer.bias),
-                    "encoded": dump(f"{prefix}_encoded", layer.encoded),
-                    "levels": [
-                        dump(f"{prefix}_levels{s}", levels)
-                        for s, levels in enumerate(layer.levels)
-                    ],
-                }
-            )
+        offset = 0
+        with open(tmp / _PAYLOAD_NAME, "wb") as out:
+            for layer in self.layers:
+                entry, offset = _write_layer(out, offset, layer)
+                layers_meta.append(entry)
         meta = {
             "format": STATE_FORMAT,
             "model": self.model,
@@ -331,6 +416,7 @@ class ProgrammedState:
                 "t_del_s": self.arch.t_del_s,
                 "v_dd": self.arch.v_dd,
             },
+            "payload_bytes": offset,
             "layers": layers_meta,
         }
         (tmp / _META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True))
@@ -346,13 +432,17 @@ class ProgrammedState:
     def load(cls, path: Union[str, Path], mmap: bool = False) -> "ProgrammedState":
         """Read a state saved by :meth:`save`.
 
-        With ``mmap=True`` every tensor is memory-mapped read-only instead of
-        materialised — the larger-than-RAM execution direction: an executor
-        reads each layer's level pages once, when it wires the layer.  A
-        payload this build cannot have written (levels that are not
-        unsigned integers, slices of one layer that differ in shape, a
-        slice count the architecture does not use) is refused with an
-        :class:`EngineError` naming the file; the checks read headers only.
+        With ``mmap=False`` the payload is read once and every layer's
+        CRC-32 checked.  With ``mmap=True`` the payload file is mapped
+        read-only once and every tensor is a view by offset — the
+        larger-than-RAM execution direction: nothing is read or checked
+        yet, and an executor reads (and checks, see :meth:`check_layer`)
+        each layer's pages once, when it wires the layer.  A corrupt
+        payload — a CRC mismatch, a missing or truncated file, levels this
+        build cannot have written (not unsigned integers, slices of one
+        layer that differ in shape, a slice count the architecture does not
+        use) — is refused with an :class:`EngineError` naming the file and
+        the layer.
         """
         path = Path(path)
         meta_file = path / _META_NAME
@@ -377,54 +467,80 @@ class ProgrammedState:
                 f"programmed state at {path} has format {meta.get('format')!r}; "
                 f"this build reads format {STATE_FORMAT}"
             )
-        mmap_mode = "r" if mmap else None
         try:
             arch = ArchSpec(**meta["arch"])
             mode = meta["mode"]
-            layers = [
-                _layer_from_entry(entry, path, mmap_mode, arch, mode)
-                for entry in meta["layers"]
-            ]
-            return cls(
+            entries = meta["layers"]
+            size = meta["payload_bytes"]
+            data = _read_payload(path, 0, size, size, mmap)
+            if not mmap:
+                for entry in entries:
+                    _check_crc(entry, data, 0, path)
+            state = cls(
                 model=meta["model"],
                 mode=mode,
                 seed=meta["seed"],
                 arch=arch,
-                layers=layers,
+                layers=[
+                    _layer_from_entry(entry, data, 0, path, arch, mode)
+                    for entry in entries
+                ],
                 source_path=path,
             )
         except (KeyError, TypeError, OSError, ValueError) as exc:
-            # missing manifest fields, a deleted/truncated tensor file, or
-            # an unbuildable ArchSpec: all the partially-written cases
+            # missing manifest fields, a deleted payload file, or an
+            # unbuildable ArchSpec: all the partially-written cases
             raise EngineError(
                 f"corrupt programmed state at {path}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        if mmap:
+            state._mapped = data
+            state._unchecked = dict(enumerate(entries))
+        return state
+
+    def check_layer(self, position: int) -> None:
+        """Check layer ``position``'s CRC-32 in a memory-mapped payload, once.
+
+        A memory-mapped :meth:`load` reads no payload page, so it checks
+        nothing; a resident executor calls this as it wires each layer,
+        whose cast reads every byte anyway.  A no-op for a layer already
+        checked, an eagerly loaded state (checked by :meth:`load`) and an
+        in-process one.
+        """
+        entry = self._unchecked.get(position)
+        if entry is None or self._mapped is None or self.source_path is None:
+            return
+        _check_crc(entry, self._mapped, 0, Path(self.source_path))
+        del self._unchecked[position]
 
     def stream_layer(self, position: int, mmap: bool = True) -> LayerState:
-        """Layer ``position`` (index into ``layers``) on **fresh file handles**.
+        """Layer ``position`` (index into ``layers``) on a **fresh mapping**.
 
-        The stream-execution unit: for a disk-backed state this opens new
-        (by default memory-mapped) arrays that are independent of the
-        resident ``layers`` list, so the caller can wire the layer, execute
-        it, and drop every reference — the kernel then unmaps the pages and
-        peak RSS stays bounded by the largest live layer instead of
-        accumulating mapped pages across the whole network (which is what
-        happens when one long-lived ``load(mmap=True)`` handle serves every
-        layer).  For an in-process state (``source_path is None``) this
-        returns the resident layer unchanged — streaming degrades
-        gracefully to the resident behaviour, with identical numbers.
+        The stream-execution unit: for a disk-backed state this maps (by
+        default; with ``mmap=False`` it reads) the layer's own byte range of
+        the payload anew, independent of the resident ``layers`` list, and
+        checks its CRC-32, so the caller can wire the layer, execute it, and
+        drop every reference — the kernel then unmaps the pages and peak RSS
+        stays bounded by the largest live layer instead of accumulating
+        mapped pages across the whole network (which is what happens when
+        one long-lived ``load(mmap=True)`` mapping serves every layer).  For
+        an in-process state (``source_path is None``) this returns the
+        resident layer unchanged — streaming degrades gracefully to the
+        resident behaviour, with identical numbers.
         """
         template = self.layers[position]
         if self.source_path is None:
             return template
         path = Path(self.source_path)
         try:
-            if self._entries is None:
-                self._entries = json.loads((path / _META_NAME).read_text())["layers"]
-            return _layer_from_entry(
-                self._entries[position], path, "r" if mmap else None, self.arch, self.mode
-            )
+            if self._manifest is None:
+                self._manifest = json.loads((path / _META_NAME).read_text())
+            entry = self._manifest["layers"][position]
+            start, end = entry["range"]
+            data = _read_payload(path, start, end, self._manifest["payload_bytes"], mmap)
+            _check_crc(entry, data, start, path)
+            return _layer_from_entry(entry, data, start, path, self.arch, self.mode)
         except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
             raise EngineError(
                 f"corrupt programmed state at {path}: "

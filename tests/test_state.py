@@ -196,6 +196,16 @@ def test_load_rejects_a_format_4_state_naming_the_format(tmp_path):
         ProgrammedState.load(path)
 
 
+def test_load_rejects_a_format_5_state_naming_the_format(tmp_path):
+    """A directory of per-tensor ``.npy`` files (format 5) is refused."""
+    path, _, _ = _saved_state(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["format"] = 5
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(EngineError, match="format 5"):
+        ProgrammedState.load(path)
+
+
 def test_load_rejects_a_format_2_state_naming_the_format(tmp_path):
     """A state saved before the single-engine layout (its manifest carries
     ``backend`` and per-layer ``q`` payloads) fails loudly, never loads."""
@@ -396,10 +406,23 @@ def test_load_truncated_meta_raises_engine_error(tmp_path):
 
 def test_load_with_missing_payload_file_raises_engine_error(tmp_path):
     path, _, _ = _saved_state(tmp_path)
-    victim = next(path.glob("*.npy"))
-    victim.unlink()
-    with pytest.raises(EngineError, match=str(path)):
-        ProgrammedState.load(path)
+    (path / "payload.bin").unlink()
+    for mmap in (False, True):
+        with pytest.raises(EngineError, match=re.escape(str(path / "payload.bin"))):
+            ProgrammedState.load(path, mmap=mmap)
+
+
+@pytest.mark.parametrize("mmap", [False, True])
+def test_truncated_payload_fails_at_load(tmp_path, mmap):
+    """A payload cut short (crashed writer, full disk) is refused by its
+    length before any tensor is viewed, mapped or not."""
+    path, _, _ = _saved_state(tmp_path)
+    payload = path / "payload.bin"
+    data = payload.read_bytes()
+    payload.write_bytes(data[:-100])
+    where = re.escape(str(payload))
+    with pytest.raises(EngineError, match=where + f".*{len(data) - 100} bytes.*{len(data)}"):
+        ProgrammedState.load(path, mmap=mmap)
 
 
 def test_load_with_meta_missing_keys_raises_engine_error(tmp_path):
@@ -437,26 +460,49 @@ def test_cache_evicts_a_corrupt_disk_entry_and_reprograms(tmp_path):
 # tampered level payloads
 # ---------------------------------------------------------------------------
 
-def _tamper(path, name, array):
-    np.save(path / name, array)
-    return re.escape(str(path / name))
+def _tamper(path, edit):
+    """Apply ``edit`` to the manifest of the state at ``path``; returns the
+    escaped payload path the refusal must name."""
+    meta = json.loads((path / "meta.json").read_text())
+    edit(meta)
+    (path / "meta.json").write_text(json.dumps(meta))
+    return re.escape(str(path / "payload.bin"))
+
+
+def _flip_level_byte(path, layer, byte=3):
+    """Invert one byte inside level slice 0 of ``layer`` in the payload file."""
+    meta = json.loads((path / "meta.json").read_text())
+    entry = meta["layers"][layer]
+    offset = entry["levels"][0]["offset"] + byte
+    with open(path / "payload.bin", "r+b") as f:
+        f.seek(offset)
+        value = f.read(1)[0]
+        f.seek(offset)
+        f.write(bytes([value ^ 0xFF]))
+    return entry["name"]
 
 
 @pytest.mark.parametrize("mmap", [False, True])
 def test_load_rejects_levels_that_are_not_unsigned(tmp_path, mmap):
     path, _, _ = _saved_state(tmp_path)
-    levels = np.load(path / "L000_levels1.npy")
-    for bad in (levels.astype(np.int8), levels.astype(np.float64)):
-        where = _tamper(path, "L000_levels1.npy", bad)
-        with pytest.raises(EngineError, match=where + ".*not unsigned"):
+    for bad in ("|i1", "<f8"):
+
+        def edit(meta):
+            meta["layers"][0]["levels"][1]["dtype"] = bad
+
+        where = _tamper(path, edit)
+        with pytest.raises(EngineError, match=where + ".*'fc1'.*not unsigned"):
             ProgrammedState.load(path, mmap=mmap)
 
 
 def test_load_rejects_slices_of_different_shapes(tmp_path):
     path, _, _ = _saved_state(tmp_path)
-    levels = np.load(path / "L001_levels1.npy")
-    where = _tamper(path, "L001_levels1.npy", levels[:, :-1])
-    with pytest.raises(EngineError, match=where + ".*differ"):
+
+    def edit(meta):
+        meta["layers"][1]["levels"][1]["shape"][-1] -= 1
+
+    where = _tamper(path, edit)
+    with pytest.raises(EngineError, match=where + ".*'fc2'.*differ"):
         ProgrammedState.load(path, mmap=True)
 
 
@@ -471,13 +517,71 @@ def test_load_rejects_a_slice_count_the_arch_does_not_use(tmp_path):
 
 
 def test_stream_layer_rechecks_the_payload_it_opens(tmp_path):
-    """Streaming re-opens files after load, so it checks them again."""
+    """Streaming re-opens the payload after load, so it checks it again."""
     path, _, _ = _saved_state(tmp_path)
     state = ProgrammedState.load(path, mmap=True)
-    levels = np.load(path / "L000_levels0.npy")
-    where = _tamper(path, "L000_levels0.npy", levels.astype(np.int16))
-    with pytest.raises(EngineError, match=where):
+    state.stream_layer(0)
+    name = _flip_level_byte(path, 0)
+    with pytest.raises(EngineError, match=re.escape(str(path / "payload.bin")) + f".*{name!r}"):
         state.stream_layer(0)
+    state.stream_layer(1)  # other layers' bytes are intact
+
+
+def test_flipped_level_byte_fails_loudly(tmp_path):
+    """One flipped bit pattern inside a saved level payload never wires the
+    wrong chip under the right key: an eager load refuses it, naming the
+    layer and the file; the cache evicts the entry and re-programs; a
+    memory-mapped load defers the check to wiring, which refuses it; and a
+    streamed layer refuses it too."""
+    network = build_model("cnn_1")
+    ctx = SimContext()
+    cache = ProgrammedStateCache(root=tmp_path / "cache")
+    state, _ = cache.get_or_program(network, ctx)
+    path = cache.path_for(state.key)
+    position = 1
+    name = _flip_level_byte(path, position)
+    refusal = re.escape(str(path / "payload.bin")) + f".*layer {name!r}.*CRC-32"
+
+    with pytest.raises(EngineError, match=refusal):
+        ProgrammedState.load(path)
+    mapped = ProgrammedState.load(path, mmap=True)
+    with pytest.raises(EngineError, match=f"layer {name!r}"):
+        NetworkExecutor.from_state(mapped, network=network, ctx=ctx)
+    with pytest.raises(EngineError, match=refusal):
+        mapped.stream_layer(position)
+    for other in range(len(mapped.layers)):
+        if other != position:
+            mapped.check_layer(other)
+            mapped.stream_layer(other)
+
+    cold = ProgrammedStateCache(root=tmp_path / "cache")
+    healed, source = cold.get_or_program(network, ctx)
+    assert source == "programmed" and cold.evicted == 1
+    reloaded = ProgrammedState.load(path)
+    for a, b in zip(healed.layers, reloaded.layers):
+        for x, y in zip(a.levels, b.levels):
+            np.testing.assert_array_equal(x, y)
+
+
+def test_wiring_checks_each_mapped_layer_once(tmp_path, monkeypatch):
+    """A memory-mapped state checks a layer's CRC-32 when the first
+    resident executor wires it; later executors (later trials) do not."""
+    import zlib
+
+    path, network, ctx = _saved_state(tmp_path)
+    state = ProgrammedState.load(path, mmap=True)
+    checks = []
+    real = zlib.crc32
+
+    def counted(data, value=0):
+        checks.append(len(data))
+        return real(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", counted)
+    NetworkExecutor.from_state(state, network=network, ctx=ctx)
+    assert len(checks) == len(state.layers)
+    NetworkExecutor.from_state(state, network=network, ctx=ctx)
+    assert len(checks) == len(state.layers)
 
 
 def test_loaded_levels_are_lazy_unsigned_memory_maps(tmp_path):
