@@ -83,6 +83,8 @@ _META_NAME = "meta.json"
 _PAYLOAD_NAME = "payload.bin"
 #: byte alignment of every tensor in the payload file
 _ALIGN = 64
+#: the scalar :class:`LayerState` fields a manifest ``layers`` entry records
+_LAYER_FIELDS = ("name", "index", "kind", "out_channels", "n_groups", "stride", "pad", "kernel")
 
 
 def state_key(model: str, arch: ArchSpec, mode: str, seed: int) -> str:
@@ -205,20 +207,11 @@ def _write_layer(out: BinaryIO, offset: int, layer: LayerState) -> Tuple[Dict[st
         offset += data.nbytes + len(pad)
         return record
 
-    entry = {
-        "name": layer.name,
-        "index": layer.index,
-        "kind": layer.kind,
-        "out_channels": layer.out_channels,
-        "n_groups": layer.n_groups,
-        "stride": layer.stride,
-        "pad": layer.pad,
-        "kernel": layer.kernel,
-        "w_scales": put(layer.w_scales),
-        "bias": put(layer.bias),
-        "encoded": put(layer.encoded),
-        "levels": [put(levels) for levels in layer.levels],
-    }
+    entry = {key: getattr(layer, key) for key in _LAYER_FIELDS}
+    entry["w_scales"] = put(layer.w_scales)
+    entry["bias"] = put(layer.bias)
+    entry["encoded"] = put(layer.encoded)
+    entry["levels"] = [put(levels) for levels in layer.levels]
     entry["range"] = [start, offset]
     entry["crc32"] = crc
     return entry, offset
@@ -243,6 +236,11 @@ def _read_payload(path: Path, start: int, end: int, size: int, mmap: bool) -> np
     with open(payload, "rb") as f:
         f.seek(start)
         return np.fromfile(f, dtype=np.uint8, count=end - start)
+
+
+def _corrupt(path: Path, exc: Exception) -> EngineError:
+    """The error for a state at ``path`` that failed to load with ``exc``."""
+    return EngineError(f"corrupt programmed state at {path}: {type(exc).__name__}: {exc}")
 
 
 def _check_crc(entry: Dict[str, Any], data: np.ndarray, base: int, path: Path) -> None:
@@ -312,18 +310,11 @@ def _layer_from_entry(
     _check_levels(entry, arch.cols_per_weight if mode == "analog" else 0, path)
     cell = arch.cell_spec()
     return LayerState(
-        name=entry["name"],
-        index=entry["index"],
-        kind=entry["kind"],
-        out_channels=entry["out_channels"],
-        n_groups=entry["n_groups"],
+        **{key: entry[key] for key in _LAYER_FIELDS},
         w_scales=view(entry["w_scales"]),
         g_min_s=cell.g_min_s,
         g_step_s=cell.g_step_s,
         bias=maybe(entry["bias"]),
-        stride=entry["stride"],
-        pad=entry["pad"],
-        kernel=entry["kernel"],
         encoded=maybe(entry["encoded"]),
         levels=[view(record) for record in entry["levels"]],
     )
@@ -490,10 +481,7 @@ class ProgrammedState:
         except (KeyError, TypeError, OSError, ValueError) as exc:
             # missing manifest fields, a deleted payload file, or an
             # unbuildable ArchSpec: all the partially-written cases
-            raise EngineError(
-                f"corrupt programmed state at {path}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+            raise _corrupt(path, exc) from exc
         if mmap:
             state._mapped = data
             state._unchecked = dict(enumerate(entries))
@@ -542,10 +530,7 @@ class ProgrammedState:
             _check_crc(entry, data, start, path)
             return _layer_from_entry(entry, data, start, path, self.arch, self.mode)
         except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
-            raise EngineError(
-                f"corrupt programmed state at {path}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+            raise _corrupt(path, exc) from exc
 
 
 class ProgrammedStateCache:
