@@ -7,8 +7,7 @@ quantisation of a batch of post-ReLU activations
 (:func:`quantize_unsigned_batch`), symmetric per-output-channel weight
 quantisation (:func:`quantize_symmetric_per_channel`, through the kernel
 dispatcher) and the MSB/LSB weight split of the sub-ranging read-out
-(:func:`split_msb_lsb`).  The whole-tensor quantisers the tests check them
-against live in ``tests/quantization_oracle.py``.
+(:func:`split_msb_lsb`).
 """
 
 from __future__ import annotations
