@@ -201,9 +201,9 @@ def _write_layer(out: BinaryIO, offset: int, layer: LayerState) -> Tuple[Dict[st
             "order": order,
         }
         pad = bytes(-data.nbytes % _ALIGN)
-        out.write(data)
+        out.write(data.data)
         out.write(pad)
-        crc = zlib.crc32(pad, zlib.crc32(data, crc))
+        crc = zlib.crc32(pad, zlib.crc32(data.data, crc))
         offset += data.nbytes + len(pad)
         return record
 
@@ -250,7 +250,7 @@ def _check_crc(entry: Dict[str, Any], data: np.ndarray, base: int, path: Path) -
     ``zlib.crc32`` runs over the layer's byte range.
     """
     start, end = entry["range"]
-    if zlib.crc32(data[start - base : end - base]) != entry["crc32"]:
+    if zlib.crc32(data[start - base : end - base].data) != entry["crc32"]:
         raise EngineError(
             f"corrupt programmed state at {path / _PAYLOAD_NAME}: layer "
             f"{entry['name']!r} fails its CRC-32 check"
